@@ -45,7 +45,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kcal-per-kwh", type=float, default=None, help="battery throughput cost, EUR/kWh")
     sub.add_argument("--compensation-cap", action="store_true", default=None,
                      help="cap compensated surplus value at imported consumption value per billing period")
-    sub.add_argument("--tolerance", type=float, default=1e-6, help="feasibility/integrality tolerance")
+    sub.add_argument("--tolerance", type=float, default=1e-6, help="feasibility tolerance of the solution check")
 
 
 def _run_config(args, objectives=("price",), sharing=("static",)) -> RunConfig:
@@ -166,7 +166,7 @@ def _cmd_optimize(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "baseline.csv").write_text(baseline_csv(baseline), encoding="utf-8")
-    cfg = SolveConfig(feas_tol=run.tolerance, int_tol=run.tolerance)
+    cfg = SolveConfig(feas_tol=run.tolerance)
     for obj_name in objectives:
         for share_name in sharing:
             report = run_scenario(

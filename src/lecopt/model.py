@@ -108,7 +108,7 @@ class MilpProblem:
 
     `complementary_pairs` and `binary_links` record which continuous
     columns must be complementary and which binary enables which flow;
-    the solver uses them for its root-node fast path.
+    the solver branches on the pairs and reads the binaries off the links.
     """
 
     scenario_label: str

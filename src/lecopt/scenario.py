@@ -135,7 +135,7 @@ def compute_baseline(spec: CommunitySpec) -> BaselineResult:
 
 
 def _diagnose_infeasible(problem: MilpProblem) -> str:
-    relax = solve_lp(problem, relax_binaries=True)
+    relax = solve_lp(problem)
     if relax.status is Status.INFEASIBLE:
         return "LP relaxation infeasible: balance/capacity/SOC constraints admit no schedule"
     return "LP relaxation feasible: infeasibility arises from buy-sell or charge-discharge exclusivity"
@@ -242,6 +242,7 @@ def run_scenario(
     report = validate_community(spec)
     if not report.ok:
         raise ValueError(f"community spec invalid:\n{report}")
+    cfg = solve_config or SolveConfig()
 
     T = spec.horizon_hours
     if window_hours is not None and T > window_hours and T % window_hours == 0:
@@ -260,14 +261,14 @@ def run_scenario(
     for day, window in enumerate(windows):
         problem = build(window, objective, allocation)
         label = problem.scenario_label
-        solution = solve_milp(problem, solve_config)
+        solution = solve_milp(problem, cfg)
         if solution.status is not Status.OPTIMAL:
             if solution.status is Status.LIMIT_REACHED:
                 raise ScenarioInfeasible(
                     f"window {day}: solver limit reached before proven optimality", f"gap={solution.gap}"
                 )
             raise ScenarioInfeasible(f"window {day}: no feasible schedule", _diagnose_infeasible(problem))
-        check = verify_solution(problem, solution.x)
+        check = verify_solution(problem, solution.x, feas_tol=cfg.feas_tol)
         if not check.ok:
             raise RuntimeError(f"window {day}: solver returned an invalid solution:\n{check}")
         w_costs, w_emissions, w_traces = _settle_window(window, problem, solution)

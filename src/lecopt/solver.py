@@ -1,10 +1,11 @@
 """Embedded exact MILP solver.
 
 A two-phase primal simplex on the bounded-variable form handles the LP
-relaxations; a best-first branch-and-bound over the binary columns closes
-integrality. A complementarity fast path returns at the root node whenever
-the relaxation already keeps buy/sell and charge/discharge pairs
-complementary, which is the common case for this problem family.
+relaxations; a best-first branch-and-bound on the buy/sell and
+charge/discharge pairs closes the exclusivity the binaries encode. A node
+whose LP keeps every pair complementary closes with the binaries read off
+the flows; otherwise it branches by fixing one member of a violated pair
+to zero. Most windows of this problem family close at the root node.
 
 Dense tableaus are deliberate: case-study problems stay in the hundreds of
 columns. Determinism is a contract: identical problems yield identical
@@ -18,13 +19,13 @@ import enum
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from lecopt.model import MilpProblem
 
-FEAS_TOL = 1e-7
+FEAS_TOL = 1e-6
 INT_TOL = 1e-6
 DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
@@ -60,7 +61,6 @@ class MilpSolution:
 @dataclass(frozen=True)
 class SolveConfig:
     feas_tol: float = FEAS_TOL
-    int_tol: float = INT_TOL
     node_limit: int | None = None
     time_limit: float | None = None
 
@@ -290,14 +290,8 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
     return Status.OPTIMAL, sol, iterations
 
 
-def solve_lp(problem: MilpProblem, relax_binaries: bool = True) -> LpSolution:
-    """Solve the LP (relaxation) of a problem.
-
-    With `relax_binaries` the binary columns become continuous in [0, 1];
-    without it the problem must not contain binaries.
-    """
-    if not relax_binaries and problem.binaries:
-        raise ValueError("problem has binary columns; pass relax_binaries=True")
+def solve_lp(problem: MilpProblem) -> LpSolution:
+    """Solve the LP relaxation of a problem: binary columns are continuous in [0, 1]."""
     dense = _Dense(problem)
     status, x, iters = _simplex(dense, dense.lb.copy(), dense.ub.copy())
     if status is not Status.OPTIMAL:
@@ -309,7 +303,7 @@ def solve_lp(problem: MilpProblem, relax_binaries: bool = True) -> LpSolution:
 def verify_solution(
     problem: MilpProblem,
     x,
-    feas_tol: float = 1e-6,
+    feas_tol: float = FEAS_TOL,
     int_tol: float = INT_TOL,
 ) -> ViolationReport:
     """Independent re-check of every row, bound, and binary integrality.
@@ -344,54 +338,22 @@ def verify_solution(
     return ViolationReport(tuple(out))
 
 
-def _try_fast_path(
-    problem: MilpProblem,
-    dense: _Dense,
-    x: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    int_tol: float,
-) -> np.ndarray | None:
-    """Round binaries off a complementary relaxation solution.
-
-    Valid only when binaries carry no objective weight: the rounded point
-    then shares the relaxation objective, so it is optimal.
-    """
-    binaries = sorted(problem.binaries)
-    if any(dense.c[j] != 0.0 for j in binaries):
-        return None
-    for a, bcol in problem.complementary_pairs:
-        if abs(x[a] * x[bcol]) > 1e-9:
-            return None
-    rounded = x.copy()
-    linked = set()
-    for bin_col, cont_col in problem.binary_links:
-        rounded[bin_col] = 1.0 if x[cont_col] > 1e-9 else 0.0
-        linked.add(bin_col)
-    for j in binaries:
-        if j not in linked:
-            rounded[j] = float(round(x[j]))
-    for j in binaries:
-        if rounded[j] < lb[j] - 1e-12 or rounded[j] > ub[j] + 1e-12:
-            return None
-    if not verify_solution(problem, rounded, feas_tol=1e-6, int_tol=int_tol).ok:
-        return None
-    return rounded
-
-
-def _fractional_binaries(problem: MilpProblem, x: np.ndarray, int_tol: float) -> list[int]:
-    return [j for j in sorted(problem.binaries) if abs(x[j] - round(x[j])) > int_tol]
-
-
 def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpSolution:
-    """Exact branch-and-bound over the binary columns.
+    """Exact best-first branch-and-bound on the complementarity pairs.
 
-    Best-first on the parent LP bound; branching on the most fractional
-    binary, lowest column index on ties. Returns LIMIT_REACHED with the
-    incumbent and remaining gap when node or time limits bite.
+    A pair of `complementary_pairs` is violated when both members exceed
+    1e-9. A node without a violated pair closes: its LP point, with each
+    binary of `binary_links` set to 1 exactly when its flow exceeds 1e-9,
+    is MILP-feasible at the LP objective, because binaries carry no
+    objective weight and each big-M is the flow's upper bound. Otherwise
+    the node branches on the pair with the largest smaller member (lowest
+    pair index on ties): one child bounds the first member to 0, the next
+    the second. Returns LIMIT_REACHED with the incumbent and remaining gap
+    when node or time limits bite.
     """
     cfg = config or SolveConfig()
     dense = _Dense(problem)
+    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
     t_start = time.monotonic()
     total_iters = 0
     node_count = 0
@@ -400,12 +362,12 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
     incumbent_obj = math.inf
 
     counter = 0
-    heap: list[tuple[float, int, dict[int, float], dict[int, float]]] = [(-math.inf, counter, {}, {})]
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(-math.inf, counter, ())]
     lower_bound = math.inf  # best bound among open nodes, set after root solve
     limit_hit = False
 
     while heap:
-        bound, _, fix_lb, fix_ub = heapq.heappop(heap)
+        bound, _, zeroed = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent_obj - 1e-9:
             break  # best-first: every open node is at least this bound
         if cfg.node_limit is not None and node_count >= cfg.node_limit:
@@ -418,14 +380,10 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
             break
         node_count += 1
 
-        lb = dense.lb.copy()
         ub = dense.ub.copy()
-        for j, v in fix_lb.items():
-            lb[j] = max(lb[j], v)
-        for j, v in fix_ub.items():
-            ub[j] = min(ub[j], v)
+        ub[list(zeroed)] = 0.0
 
-        status, x, iters = _simplex(dense, lb, ub)
+        status, x, iters = _simplex(dense, dense.lb.copy(), ub)
         total_iters += iters
         if status is Status.UNBOUNDED:
             return MilpSolution(Status.UNBOUNDED, None, None, total_iters, node_count, None)
@@ -437,30 +395,16 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
         if incumbent is not None and node_obj >= incumbent_obj - 1e-9:
             continue
 
-        fractional = _fractional_binaries(problem, x, cfg.int_tol)
-        if not fractional:
-            snapped = x.copy()
-            for j in problem.binaries:
-                snapped[j] = float(round(snapped[j]))
-            if node_obj < incumbent_obj:
-                incumbent, incumbent_obj = snapped, node_obj
+        overlap = np.minimum(x[pairs[:, 0]], x[pairs[:, 1]])
+        if not np.any(overlap > 1e-9):
+            for bin_col, flow_col in problem.binary_links:
+                x[bin_col] = 1.0 if x[flow_col] > 1e-9 else 0.0
+            incumbent, incumbent_obj = x, node_obj
             continue
 
-        fast = _try_fast_path(problem, dense, x, lb, ub, cfg.int_tol)
-        if fast is not None:
-            if node_obj < incumbent_obj:
-                incumbent, incumbent_obj = fast, node_obj
-            continue
-
-        frac_dist = [(abs(x[j] - round(x[j])), j) for j in fractional]
-        best_dist = max(d for d, _ in frac_dist)
-        branch_col = min(j for d, j in frac_dist if d >= best_dist - 1e-12)
-        for child_fix in ({**fix_ub, branch_col: 0.0}, None):
+        for col in pairs[int(np.argmax(overlap))]:
             counter += 1
-            if child_fix is not None:
-                heapq.heappush(heap, (node_obj, counter, dict(fix_lb), child_fix))
-            else:
-                heapq.heappush(heap, (node_obj, counter, {**fix_lb, branch_col: 1.0}, dict(fix_ub)))
+            heapq.heappush(heap, (node_obj, counter, zeroed + (int(col),)))
 
     if incumbent is None:
         if limit_hit:
@@ -468,34 +412,8 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
         return MilpSolution(Status.INFEASIBLE, None, None, total_iters, node_count, None)
 
     if limit_hit:
-        open_bounds = [b for b, _, _, _ in heap if b > -math.inf]
+        open_bounds = [b for b, _, _ in heap if b > -math.inf]
         lb_all = min([lower_bound] + open_bounds) if (open_bounds or lower_bound < math.inf) else -math.inf
         gap = max(0.0, incumbent_obj - lb_all)
         return MilpSolution(Status.LIMIT_REACHED, tuple(incumbent), incumbent_obj, total_iters, node_count, gap)
     return MilpSolution(Status.OPTIMAL, tuple(incumbent), incumbent_obj, total_iters, node_count, 0.0)
-
-
-def load_solution_file(path) -> dict[str, float]:
-    """Read `name value` pairs produced by an external solver."""
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'name value', got {line!r}")
-            out[parts[0]] = float(parts[1])
-    return out
-
-
-def solution_vector(problem: MilpProblem, values: dict[str, float]) -> tuple[float, ...]:
-    """Dense column vector from a name->value mapping; absent names default to 0."""
-    name_to_col = {name: j for j, name in enumerate(problem.index.names)}
-    x = np.zeros(problem.num_cols)
-    for name, value in values.items():
-        if name not in name_to_col:
-            raise KeyError(f"unknown column name {name!r}")
-        x[name_to_col[name]] = value
-    return tuple(x)

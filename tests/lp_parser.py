@@ -101,7 +101,7 @@ def parse_lp(text: str) -> ParsedLp:
 
 
 def solve_with_scipy(parsed: ParsedLp):
-    """Solve a parsed LP/MILP with scipy's HiGHS backend.
+    """Solve a parsed LP/MILP with scipy's HiGHS backend to a zero MIP gap.
 
     Returns (objective value including the constant, {name: value}).
     """
@@ -145,8 +145,35 @@ def solve_with_scipy(parsed: ParsedLp):
         constraints=LinearConstraint(A.tocsr(), lo, hi),
         bounds=Bounds(lb, ub),
         integrality=integrality,
+        options={"mip_rel_gap": 0.0},
     )
     if res.status != 0:
         raise RuntimeError(f"external solver failed: status {res.status} ({res.message})")
     values = {name: float(res.x[col[name]]) for name in names}
     return float(res.fun) + parsed.objective_constant, values
+
+
+def load_solution_file(path) -> dict[str, float]:
+    """Read `name value` pairs produced by an external solver."""
+    out: dict[str, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{line_no}: expected 'name value', got {line!r}")
+            out[parts[0]] = float(parts[1])
+    return out
+
+
+def solution_vector(problem, values: dict[str, float]) -> tuple[float, ...]:
+    """Dense column vector of `problem` from a name->value mapping; absent names default to 0."""
+    name_to_col = {name: j for j, name in enumerate(problem.index.names)}
+    x = [0.0] * problem.num_cols
+    for name, value in values.items():
+        if name not in name_to_col:
+            raise KeyError(f"unknown column name {name!r}")
+        x[name_to_col[name]] = value
+    return tuple(x)

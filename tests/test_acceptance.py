@@ -38,9 +38,9 @@ from lecopt.scenario import (
     settlement_from_json,
     settlement_to_json,
 )
-from lecopt.solver import Status, solution_vector, solve_milp, verify_solution
+from lecopt.solver import Status, solve_milp, verify_solution
 
-from lp_parser import parse_lp, solve_with_scipy
+from lp_parser import parse_lp, solution_vector, solve_with_scipy
 from oracle import enumerate_best, random_instance
 from util import flat_bess, tiny_spec, with_free_allocation
 

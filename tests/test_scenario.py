@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lecopt.scenario
 from lecopt.domain import HourlySeries, PvSpec
 from lecopt.model import AllocationMode, Objective
 from lecopt.scenario import (
@@ -20,6 +21,7 @@ from lecopt.scenario import (
     settlement_to_json,
     trace_csv,
 )
+from lecopt.solver import SolveConfig
 
 from util import flat_bess, tiny_spec, with_free_allocation
 
@@ -125,6 +127,19 @@ class TestRunScenario:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             run_scenario(tiny_spec(betas=(0.5, 0.6)), Objective.PRICE)
+
+    @pytest.mark.parametrize("config, expected", [(None, 1e-6), (SolveConfig(feas_tol=1e-4), 1e-4)])
+    def test_verifier_gets_feasibility_tolerance(self, monkeypatch, config, expected):
+        seen = []
+        real = lecopt.scenario.verify_solution
+
+        def spy(problem, x, feas_tol):
+            seen.append(feas_tol)
+            return real(problem, x, feas_tol=feas_tol)
+
+        monkeypatch.setattr(lecopt.scenario, "verify_solution", spy)
+        run_scenario(tiny_spec(), Objective.PRICE, solve_config=config)
+        assert seen == [expected]
 
 
 class TestWindows:

@@ -1,23 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lecopt.model import AllocationMode, Objective, build
-from lecopt.solver import (
-    SolveConfig,
-    Status,
-    _simplex,
-    load_solution_file,
-    solution_vector,
-    solve_lp,
-    solve_milp,
-    verify_solution,
-)
+from lecopt.domain import HourlySeries, slice_community
+from lecopt.fixtures import synthetic_community
+from lecopt.model import AllocationMode, Objective, build, export_lp_text
+from lecopt.solver import SolveConfig, Status, _simplex, solve_lp, solve_milp, verify_solution
 
+from lp_parser import load_solution_file, parse_lp, solution_vector, solve_with_scipy
 from util import flat_bess, tiny_spec
 
 
@@ -110,11 +105,6 @@ class TestSolveLp:
         )
         assert ours.objective == pytest.approx(res.fun + d.constant, abs=1e-8)
 
-    def test_relaxation_required_for_binary_problems(self):
-        problem = build(tiny_spec(), Objective.PRICE)
-        with pytest.raises(ValueError, match="binary"):
-            solve_lp(problem, relax_binaries=False)
-
     def test_relaxation_bounds_milp(self):
         problem = build(tiny_spec(), Objective.PRICE)
         relax = solve_lp(problem)
@@ -175,6 +165,30 @@ class TestSolveMilp:
         sol = solve_milp(problem)
         assert sol.status is Status.OPTIMAL
         assert verify_solution(problem, sol.x).ok
+
+    @pytest.mark.parametrize("unit_efficiency", [False, True], ids=["fixture-eta", "unit-eta"])
+    def test_negative_price_hour_matches_external_solver(self, unit_efficiency):
+        # Negative buy and sell prices at one hour make the relaxation buy
+        # and sell at once, so branch-and-bound has to close the overlap.
+        day = slice_community(synthetic_community(48), 0, 24)
+
+        def at_noon(series, value):
+            values = list(series.values)
+            values[12] = value
+            return HourlySeries(series.timestamps, tuple(values))
+
+        participants = tuple(
+            dataclasses.replace(p, buy_price=at_noon(p.buy_price, -0.02), sell_price=at_noon(p.sell_price, -0.01))
+            for p in day.participants
+        )
+        bess = dataclasses.replace(day.bess, eta_ch=1.0, eta_dis=1.0) if unit_efficiency else day.bess
+        spec = dataclasses.replace(day, participants=participants, bess=bess, allow_negative_prices=True)
+        problem = build(spec, Objective.PRICE)
+        sol = solve_milp(problem, SolveConfig(time_limit=30))
+        assert sol.status is Status.OPTIMAL
+        assert verify_solution(problem, sol.x).ok
+        external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
+        assert sol.objective == pytest.approx(external_obj, abs=1e-6)
 
     def test_optimized_allocation_solves(self):
         from util import with_free_allocation
