@@ -2,7 +2,9 @@
 
 Subcommands: validate, gwp, baseline, optimize, export-lp.
 Exit codes: 0 success, 1 validation failure, 2 solver infeasibility,
-3 I/O or input-format error. Output for identical inputs is byte-identical.
+3 I/O or input-format error, 4 internal error (simplex iteration limit or
+a solution the verifier rejects). Output for identical inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from lecopt.scenario import (
     settlement_to_json,
     trace_csv,
 )
-from lecopt.solver import SolveConfig
+from lecopt.solver import SolveConfig, SolverError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 _OBJECTIVES = {"price": Objective.PRICE, "environment": Objective.ENVIRONMENT}
 _SHARING = {"static": AllocationMode.FIXED, "variable": AllocationMode.OPTIMIZED}
@@ -226,6 +229,9 @@ def main(argv=None) -> int:
     except (IngestError, ZeroCoveredGeneration, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
+    except SolverError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

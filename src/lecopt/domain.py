@@ -9,6 +9,7 @@ prices are supplied. All types are immutable after construction.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +22,16 @@ import numpy as np
 DEFAULT_PV_EMISSION_FACTOR = 0.045
 
 HOUR = timedelta(hours=1)
+
+
+@functools.lru_cache(maxsize=32)
+def _hourly_stamps(start: datetime, tzinfo, length: int) -> tuple[datetime, ...]:
+    """One shared timestamp tuple per horizon, so series built on it hold no copies.
+
+    `tzinfo` is part of the key because aware datetimes at the same instant
+    compare equal across time zones.
+    """
+    return tuple(start + i * HOUR for i in range(length))
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,7 @@ class HourlySeries:
     def from_values(cls, values: Iterable[float], start: datetime | None = None) -> HourlySeries:
         vals = tuple(float(v) for v in values)
         t0 = start if start is not None else datetime(2022, 3, 3)
-        stamps = tuple(t0 + i * HOUR for i in range(len(vals)))
-        return cls(stamps, vals)
+        return cls(_hourly_stamps(t0, t0.tzinfo, len(vals)), vals)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -9,6 +9,7 @@ emissions to participants with their (realized) sharing coefficients.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Mapping, Sequence
@@ -30,7 +31,7 @@ from lecopt.model import (
     effective_coefficients,
     net_generation,
 )
-from lecopt.solver import MilpSolution, SolveConfig, Status, solve_lp, solve_milp, verify_solution
+from lecopt.solver import MilpSolution, SolveConfig, SolverError, Status, solve_lp, solve_milp, verify_solution
 
 KG_PER_TONNE = 1000.0
 
@@ -61,22 +62,36 @@ class BaselineResult:
 
 @dataclass(frozen=True)
 class HourlyTraces:
-    """Per-hour schedule traces shaped for the four-panel result plots."""
+    """Per-hour schedule traces shaped for the four-panel result plots.
+
+    Float traces are `array('d')`: 8 bytes per hour instead of a boxed
+    Python float each, since multi-day runs keep every hour of every trace.
+    """
 
     timestamps: tuple[str, ...]  # ISO-8601
-    price_buy: tuple[float, ...]
-    price_sell: tuple[float, ...]
-    gwp_grid: tuple[float, ...]
-    soc: tuple[float, ...]
-    charge: tuple[float, ...]
-    discharge: tuple[float, ...]
-    baseline_load: tuple[float, ...]
-    lec_load: tuple[float, ...]
-    pv: tuple[float, ...]
-    sold: tuple[float, ...]
-    net_generation: tuple[float, ...]
-    buy_by_participant: Mapping[str, tuple[float, ...]]
-    sell_by_participant: Mapping[str, tuple[float, ...]]
+    price_buy: array
+    price_sell: array
+    gwp_grid: array
+    soc: array
+    charge: array
+    discharge: array
+    baseline_load: array
+    lec_load: array
+    pv: array
+    sold: array
+    net_generation: array
+    buy_by_participant: Mapping[str, array]
+    sell_by_participant: Mapping[str, array]
+
+
+_FLOAT_TRACES = (
+    "price_buy", "price_sell", "gwp_grid", "soc", "charge", "discharge",
+    "baseline_load", "lec_load", "pv", "sold", "net_generation",
+)
+
+
+def _floats(values) -> array:
+    return array("d", np.asarray(values, dtype=float).tobytes())
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,8 @@ def _settle_window(
 
     costs: dict[str, float] = {}
     emissions: dict[str, float] = {}
-    buy_by_p: dict[str, tuple[float, ...]] = {}
-    sell_by_p: dict[str, tuple[float, ...]] = {}
+    buy_by_p: dict[str, array] = {}
+    sell_by_p: dict[str, array] = {}
     for p in spec.participants:
         buy = np.array([x[index.col(CHI_BUY, t, p.id)] for t in range(T)])
         sell = np.array([x[index.col(CHI_SELL, t, p.id)] for t in range(T)])
@@ -175,8 +190,8 @@ def _settle_window(
             + np.dot(beta, battery_cost)
         )
         emissions[p.id] = float(np.dot(intensity, buy) + np.dot(beta, shared_emissions))
-        buy_by_p[p.id] = tuple(buy)
-        sell_by_p[p.id] = tuple(sell)
+        buy_by_p[p.id] = _floats(buy)
+        sell_by_p[p.id] = _floats(sell)
 
     buy_total = np.sum([buy_by_p[p.id] for p in spec.participants], axis=0)
     sell_total = np.sum([sell_by_p[p.id] for p in spec.participants], axis=0)
@@ -186,17 +201,17 @@ def _settle_window(
 
     traces = HourlyTraces(
         timestamps=tuple(ts.isoformat() for ts in spec.grid_intensity.timestamps),
-        price_buy=tuple(price_buy),
-        price_sell=tuple(price_sell),
-        gwp_grid=tuple(intensity),
-        soc=tuple(soc),
-        charge=tuple(charge),
-        discharge=tuple(discharge),
-        baseline_load=tuple(load_total),
-        lec_load=tuple(buy_total),
-        pv=tuple(pv),
-        sold=tuple(sell_total),
-        net_generation=tuple(theta),
+        price_buy=_floats(price_buy),
+        price_sell=_floats(price_sell),
+        gwp_grid=_floats(intensity),
+        soc=_floats(soc),
+        charge=_floats(charge),
+        discharge=_floats(discharge),
+        baseline_load=_floats(load_total),
+        lec_load=_floats(buy_total),
+        pv=_floats(pv),
+        sold=_floats(sell_total),
+        net_generation=_floats(theta),
         buy_by_participant=buy_by_p,
         sell_by_participant=sell_by_p,
     )
@@ -206,23 +221,19 @@ def _settle_window(
 def _merge_traces(parts: Sequence[HourlyTraces]) -> HourlyTraces:
     if len(parts) == 1:
         return parts[0]
+
+    def cat(arrays) -> array:
+        out = array("d")
+        for a in arrays:
+            out.extend(a)
+        return out
+
     ids = parts[0].buy_by_participant.keys()
-    cat = lambda attr: tuple(v for tr in parts for v in getattr(tr, attr))
     return HourlyTraces(
-        timestamps=cat("timestamps"),
-        price_buy=cat("price_buy"),
-        price_sell=cat("price_sell"),
-        gwp_grid=cat("gwp_grid"),
-        soc=cat("soc"),
-        charge=cat("charge"),
-        discharge=cat("discharge"),
-        baseline_load=cat("baseline_load"),
-        lec_load=cat("lec_load"),
-        pv=cat("pv"),
-        sold=cat("sold"),
-        net_generation=cat("net_generation"),
-        buy_by_participant={i: tuple(v for tr in parts for v in tr.buy_by_participant[i]) for i in ids},
-        sell_by_participant={i: tuple(v for tr in parts for v in tr.sell_by_participant[i]) for i in ids},
+        timestamps=tuple(ts for tr in parts for ts in tr.timestamps),
+        **{k: cat(getattr(tr, k) for tr in parts) for k in _FLOAT_TRACES},
+        buy_by_participant={i: cat(tr.buy_by_participant[i] for tr in parts) for i in ids},
+        sell_by_participant={i: cat(tr.sell_by_participant[i] for tr in parts) for i in ids},
     )
 
 
@@ -237,8 +248,11 @@ def run_scenario(
 
     When the horizon is a multiple of `window_hours`, each window is solved
     independently (the battery endpoint rule applies per window); otherwise
-    the whole horizon is one problem.
+    the whole horizon is one problem. Raises ValueError for a window below
+    one hour.
     """
+    if window_hours is not None and window_hours < 1:
+        raise ValueError(f"window_hours must be at least 1, got {window_hours}")
     report = validate_community(spec)
     if not report.ok:
         raise ValueError(f"community spec invalid:\n{report}")
@@ -270,7 +284,10 @@ def run_scenario(
             raise ScenarioInfeasible(f"window {day}: no feasible schedule", _diagnose_infeasible(problem))
         check = verify_solution(problem, solution.x, feas_tol=cfg.feas_tol)
         if not check.ok:
-            raise RuntimeError(f"window {day}: solver returned an invalid solution:\n{check}")
+            first = check.violations[0]
+            raise SolverError(
+                f"window {day}: solver returned an invalid solution: {len(check.violations)} violation(s), first {first}"
+            )
         w_costs, w_emissions, w_traces = _settle_window(window, problem, solution)
         for pid in costs:
             costs[pid] += w_costs[pid]
@@ -349,10 +366,7 @@ def settlement_to_json(report: SettlementReport) -> str:
         "node_count": report.node_count,
         "iterations": report.iterations,
         "traces": {
-            **{k: list(getattr(report.traces, k)) for k in (
-                "timestamps", "price_buy", "price_sell", "gwp_grid", "soc", "charge",
-                "discharge", "baseline_load", "lec_load", "pv", "sold", "net_generation",
-            )},
+            **{k: list(getattr(report.traces, k)) for k in ("timestamps",) + _FLOAT_TRACES},
             "buy_by_participant": {k: list(v) for k, v in report.traces.buy_by_participant.items()},
             "sell_by_participant": {k: list(v) for k, v in report.traces.sell_by_participant.items()},
         },
@@ -365,19 +379,9 @@ def settlement_from_json(text: str) -> SettlementReport:
     tr = data["traces"]
     traces = HourlyTraces(
         timestamps=tuple(tr["timestamps"]),
-        price_buy=tuple(tr["price_buy"]),
-        price_sell=tuple(tr["price_sell"]),
-        gwp_grid=tuple(tr["gwp_grid"]),
-        soc=tuple(tr["soc"]),
-        charge=tuple(tr["charge"]),
-        discharge=tuple(tr["discharge"]),
-        baseline_load=tuple(tr["baseline_load"]),
-        lec_load=tuple(tr["lec_load"]),
-        pv=tuple(tr["pv"]),
-        sold=tuple(tr["sold"]),
-        net_generation=tuple(tr["net_generation"]),
-        buy_by_participant={k: tuple(v) for k, v in tr["buy_by_participant"].items()},
-        sell_by_participant={k: tuple(v) for k, v in tr["sell_by_participant"].items()},
+        **{k: _floats(tr[k]) for k in _FLOAT_TRACES},
+        buy_by_participant={k: _floats(v) for k, v in tr["buy_by_participant"].items()},
+        sell_by_participant={k: _floats(v) for k, v in tr["sell_by_participant"].items()},
     )
     return SettlementReport(
         scenario_label=data["scenario_label"],

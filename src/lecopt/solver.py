@@ -2,10 +2,15 @@
 
 A two-phase primal simplex on the bounded-variable form handles the LP
 relaxations; a best-first branch-and-bound on the buy/sell and
-charge/discharge pairs closes the exclusivity the binaries encode. A node
-whose LP keeps every pair complementary closes with the binaries read off
-the flows; otherwise it branches by fixing one member of a violated pair
-to zero. Most windows of this problem family close at the root node.
+charge/discharge pairs closes the exclusivity the binaries encode. The LP
+the simplex sees omits the binary columns and every row that touches one:
+each big-M equals its flow's upper bound, so those rows add nothing the
+column bounds do not already say, and the smaller LP relaxes the MILP. A
+node whose LP keeps every pair complementary closes with the binaries read
+off the flows; otherwise it branches by fixing one member of a violated
+pair to zero. Most windows of this problem family close at the root node.
+`verify_solution` re-checks the full MILP, dropped rows and integrality
+included, so a model change that breaks this projection fails loudly.
 
 Dense tableaus are deliberate: case-study problems stay in the hundreds of
 columns. Determinism is a contract: identical problems yield identical
@@ -31,6 +36,10 @@ DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK_FOR_BLAND = 100
 REFRESH_EVERY = 128
+
+
+class SolverError(RuntimeError):
+    """An internal solver failure: the simplex iteration limit, or a solution the verifier rejects."""
 
 
 class Status(enum.Enum):
@@ -88,23 +97,42 @@ class ViolationReport:
 
 
 class _Dense:
-    """Row-major dense image of a MilpProblem, shared across B&B nodes."""
+    """Row-major dense image of a MilpProblem's binary-free LP, shared across B&B nodes.
+
+    Binary columns and every row with a coefficient on one are left out;
+    `cols` lists the kept columns in problem order and `pos` maps a problem
+    column to its place among them (-1 for a binary).
+    """
 
     def __init__(self, problem: MilpProblem):
-        m, n = problem.num_rows, problem.num_cols
+        binaries = problem.binaries
+        self.cols = np.array([j for j in range(problem.num_cols) if j not in binaries], dtype=int)
+        self.pos = np.full(problem.num_cols, -1)
+        self.pos[self.cols] = np.arange(self.cols.size)
+        pos = self.pos.tolist()
+        rows = [row for row in problem.rows if not any(col in binaries for col, _ in row.coeffs)]
+        m, n = len(rows), self.cols.size
         self.m, self.n = m, n
         self.A = np.zeros((m, n))
         self.rhs = np.zeros(m)
         self.senses: list[str] = []
-        for i, row in enumerate(problem.rows):
+        for i, row in enumerate(rows):
             for col, coef in row.coeffs:
-                self.A[i, col] += coef
+                self.A[i, pos[col]] += coef
             self.rhs[i] = row.rhs
             self.senses.append(row.sense)
-        self.c = np.asarray(problem.objective, dtype=float)
-        self.lb = np.asarray(problem.lb, dtype=float)
-        self.ub = np.asarray(problem.ub, dtype=float)
+        self.c = np.asarray(problem.objective, dtype=float)[self.cols]
+        self.lb = np.asarray(problem.lb, dtype=float)[self.cols]
+        self.ub = np.asarray(problem.ub, dtype=float)[self.cols]
         self.constant = problem.objective_constant
+        self.links = np.array(problem.binary_links, dtype=int).reshape(-1, 2)
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """Full-length problem vector: `x` scattered back, each linked binary 1 exactly when its flow exceeds 1e-9."""
+        full = np.zeros(self.pos.size)
+        full[self.cols] = x
+        full[self.links[:, 0]] = full[self.links[:, 1]] > 1e-9
+        return full
 
 
 def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status, np.ndarray | None, int]:
@@ -188,7 +216,7 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
         while True:
             iterations += 1
             if iterations > max_iter:
-                raise RuntimeError("simplex iteration limit exceeded")
+                raise SolverError("simplex iteration limit exceeded")
             bland = degenerate_streak >= DEGENERATE_STREAK_FOR_BLAND
 
             at_lb = ~in_basis & ~frozen & np.isfinite(lb) & (np.abs(x - lb) < 1e-11)
@@ -291,13 +319,13 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
 
 
 def solve_lp(problem: MilpProblem) -> LpSolution:
-    """Solve the LP relaxation of a problem: binary columns are continuous in [0, 1]."""
+    """Solve the binary-free LP relaxation; `x` is full length, binaries read off their flows."""
     dense = _Dense(problem)
     status, x, iters = _simplex(dense, dense.lb.copy(), dense.ub.copy())
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, iters)
     obj = float(dense.c @ x) + dense.constant
-    return LpSolution(Status.OPTIMAL, tuple(x), obj, iters)
+    return LpSolution(Status.OPTIMAL, tuple(dense.lift(x)), obj, iters)
 
 
 def verify_solution(
@@ -341,19 +369,20 @@ def verify_solution(
 def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpSolution:
     """Exact best-first branch-and-bound on the complementarity pairs.
 
-    A pair of `complementary_pairs` is violated when both members exceed
-    1e-9. A node without a violated pair closes: its LP point, with each
-    binary of `binary_links` set to 1 exactly when its flow exceeds 1e-9,
-    is MILP-feasible at the LP objective, because binaries carry no
-    objective weight and each big-M is the flow's upper bound. Otherwise
-    the node branches on the pair with the largest smaller member (lowest
-    pair index on ties): one child bounds the first member to 0, the next
-    the second. Returns LIMIT_REACHED with the incumbent and remaining gap
-    when node or time limits bite.
+    Every node solves the binary-free LP of `_Dense`. A pair of
+    `complementary_pairs` is violated when both members exceed 1e-9. A node
+    without a violated pair closes: its LP point, scattered back to full
+    length with each binary of `binary_links` set to 1 exactly when its
+    flow exceeds 1e-9, is MILP-feasible at the LP objective, because
+    binaries carry no objective weight and each big-M is the flow's upper
+    bound. Otherwise the node branches on the pair with the largest smaller
+    member (lowest pair index on ties): one child bounds the first member to
+    0, the next the second. Returns LIMIT_REACHED with the incumbent and
+    remaining gap when node or time limits bite.
     """
     cfg = config or SolveConfig()
     dense = _Dense(problem)
-    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
+    pairs = dense.pos[np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)]
     t_start = time.monotonic()
     total_iters = 0
     node_count = 0
@@ -397,9 +426,7 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
 
         overlap = np.minimum(x[pairs[:, 0]], x[pairs[:, 1]])
         if not np.any(overlap > 1e-9):
-            for bin_col, flow_col in problem.binary_links:
-                x[bin_col] = 1.0 if x[flow_col] > 1e-9 else 0.0
-            incumbent, incumbent_obj = x, node_obj
+            incumbent, incumbent_obj = dense.lift(x), node_obj
             continue
 
         for col in pairs[int(np.argmax(overlap))]:

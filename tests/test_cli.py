@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from lecopt.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+import lecopt.scenario
+from lecopt.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from lecopt.fixtures import write_fixture_files
 from lecopt.scenario import settlement_from_json
+from lecopt.solver import SolutionViolation, ViolationReport
 
 
 def run(capsys, *argv):
@@ -115,6 +117,24 @@ class TestOptimize:
         code, _, err = run(capsys, "optimize", "--config", str(config))
         assert code == EXIT_INFEASIBLE
         assert "no feasible schedule" in err
+
+    def test_zero_window_is_validation_error(self, fixture_dir, capsys):
+        code, _, err = run(capsys, "optimize", "--config", str(fixture_dir / "community.json"), "--window-hours", "0")
+        assert code == EXIT_VALIDATION
+        assert err == "window_hours must be at least 1, got 0\n"
+
+    def test_rejected_solution_is_internal_error(self, fixture_dir, monkeypatch, capsys):
+        def reject(problem, x, feas_tol):
+            return ViolationReport((SolutionViolation("row", "balance_0_B1", "violated by 1"),))
+
+        monkeypatch.setattr(lecopt.scenario, "verify_solution", reject)
+        code, _, err = run(capsys, "optimize", "--config", str(fixture_dir / "community.json"))
+        assert code == EXIT_INTERNAL
+        assert EXIT_INTERNAL not in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE, EXIT_IO)
+        assert err == (
+            "internal error: window 0: solver returned an invalid solution: "
+            "1 violation(s), first row balance_0_B1: violated by 1\n"
+        )
 
 
 class TestExportLp:

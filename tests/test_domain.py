@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +28,21 @@ class TestHourlySeries:
         s = HourlySeries.from_values([1.0, 2.0, 3.0], T0)
         assert s.timestamps == (T0, T0 + H, T0 + 2 * H)
         assert len(s) == 3
+
+    def test_from_values_shares_timestamps_per_horizon(self):
+        a = HourlySeries.from_values([1.0, 2.0], T0)
+        b = HourlySeries.from_values([5.0, 6.0], T0)
+        assert a.timestamps is b.timestamps
+        assert HourlySeries.from_values([1.0, 2.0, 3.0], T0).timestamps[:2] == a.timestamps
+
+    def test_from_values_keeps_the_time_zone_of_the_start(self):
+        utc = datetime(2022, 3, 3, 12, tzinfo=timezone.utc)
+        plus_one = datetime(2022, 3, 3, 13, tzinfo=timezone(H))
+        assert utc == plus_one
+        a = HourlySeries.from_values([1.0], utc)
+        b = HourlySeries.from_values([1.0], plus_one)
+        assert a.timestamps[0].isoformat() == "2022-03-03T12:00:00+00:00"
+        assert b.timestamps[0].isoformat() == "2022-03-03T13:00:00+01:00"
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="non-hourly"):

@@ -120,6 +120,47 @@ class TestRows:
         assert row.rhs == 0.0
 
 
+class TestSolverProjection:
+    """The solver drops the binaries and every row on one; those rows must add nothing the bounds lack."""
+
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    def test_binary_rows_are_caps_or_exclusions(self, community48, allocation):
+        spec = community48 if allocation is AllocationMode.FIXED else with_free_allocation(community48)
+        problem = build(dataclasses.replace(spec, compensation_cap_enabled=True), Objective.PRICE, allocation)
+        links = set(problem.binary_links)
+        flow_of = dict(problem.binary_links)
+        pairs = {frozenset(pair) for pair in problem.complementary_pairs}
+        caps = exclusions = 0
+        for row in problem.rows:
+            coeffs = dict(row.coeffs)
+            deltas = [c for c in coeffs if c in problem.binaries]
+            if not deltas:
+                continue
+            flows = [c for c in coeffs if c not in problem.binaries]
+            assert row.sense == "<=", row.name
+            if flows:
+                # flow - M * delta <= 0 with M the flow's upper bound.
+                (flow,), (delta,) = flows, deltas
+                assert coeffs == {flow: 1.0, delta: -problem.ub[flow]}, row.name
+                assert row.rhs == 0.0, row.name
+                assert (delta, flow) in links, row.name
+                caps += 1
+            else:
+                # delta + delta <= 1 over the binaries of one complementarity pair.
+                assert sorted(coeffs.values()) == [1.0, 1.0] and row.rhs == 1.0, row.name
+                assert frozenset(flow_of[d] for d in deltas) in pairs, row.name
+                exclusions += 1
+        assert caps == len(problem.binaries)
+        assert exclusions == len(problem.binaries) // 2
+
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    def test_every_binary_is_linked_to_a_flow(self, community48, allocation):
+        spec = community48 if allocation is AllocationMode.FIXED else with_free_allocation(community48)
+        problem = build(spec, Objective.PRICE, allocation)
+        linked = [b for b, _ in problem.binary_links]
+        assert sorted(linked) == sorted(problem.binaries)
+
+
 class TestObjectives:
     def test_price_objective_terms(self):
         spec = tiny_spec(bess=flat_bess(calendar_cost_per_hour=0.25))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import numpy as np
 import pytest
@@ -157,6 +158,11 @@ class TestWindows:
         for pid in community48.participant_ids():
             assert split.costs_eur[pid] == pytest.approx(sum(p.costs_eur[pid] for p in parts), abs=1e-9)
 
+    @pytest.mark.parametrize("hours", [0, -24])
+    def test_window_below_one_hour_rejected(self, hours):
+        with pytest.raises(ValueError, match=f"window_hours must be at least 1, got {hours}"):
+            run_scenario(tiny_spec(), Objective.PRICE, window_hours=hours)
+
     def test_windowing_skipped_when_not_divisible(self):
         spec = tiny_spec()  # 2 h horizon, window 24 h
         report = run_scenario(spec, Objective.PRICE, window_hours=24)
@@ -198,6 +204,14 @@ class TestSerialization:
         report = run_scenario(tiny_spec(), Objective.PRICE)
         again = settlement_from_json(settlement_to_json(report))
         assert again == report
+
+    def test_merged_json_round_trip_keeps_float_arrays(self, matrix48):
+        report = matrix48[(Objective.PRICE, AllocationMode.FIXED)]
+        again = settlement_from_json(settlement_to_json(report))
+        assert again == report
+        for traces in (report.traces, again.traces):
+            assert isinstance(traces.soc, array) and traces.soc.typecode == "d"
+            assert isinstance(traces.buy_by_participant["B1"], array)
 
     def test_json_is_deterministic(self):
         a = settlement_to_json(run_scenario(tiny_spec(), Objective.PRICE))

@@ -13,7 +13,7 @@ from lecopt.model import AllocationMode, Objective, build, export_lp_text
 from lecopt.solver import SolveConfig, Status, _simplex, solve_lp, solve_milp, verify_solution
 
 from lp_parser import load_solution_file, parse_lp, solution_vector, solve_with_scipy
-from util import flat_bess, tiny_spec
+from util import flat_bess, tiny_spec, with_free_allocation
 
 
 def dense_lp(A, rhs, senses, c, lb, ub):
@@ -99,8 +99,8 @@ class TestSolveLp:
             else:
                 A_eq.append(d.A[i]); b_eq.append(d.rhs[i])
         res = linprog(
-            d.c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-            A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+            d.c, A_ub=np.array(A_ub).reshape(-1, d.n), b_ub=np.array(b_ub),
+            A_eq=np.array(A_eq).reshape(-1, d.n), b_eq=np.array(b_eq),
             bounds=list(zip(d.lb, d.ub)), method="highs",
         )
         assert ours.objective == pytest.approx(res.fun + d.constant, abs=1e-8)
@@ -139,8 +139,8 @@ class TestSolveMilp:
         assert sol.x is None
 
     def test_branching_closes_pseudo_arbitrage(self):
-        # With sell > buy the relaxation buys and sells simultaneously at
-        # half-open binaries; branch and bound must close that to zero.
+        # With sell > buy the relaxation buys and sells simultaneously;
+        # branch and bound must close that to zero.
         spec = tiny_spec(
             loads=((0.0, 0.0),),
             buy=(0.1, 0.1),
@@ -190,9 +190,22 @@ class TestSolveMilp:
         external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
         assert sol.objective == pytest.approx(external_obj, abs=1e-6)
 
-    def test_optimized_allocation_solves(self):
-        from util import with_free_allocation
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    def test_compensation_cap_matches_external_solver(self, community48, objective, allocation):
+        # compcap_* spans the whole horizon: the only multi-hour row the
+        # binary-free LP keeps.
+        spec = dataclasses.replace(community48, compensation_cap_enabled=True)
+        if allocation is AllocationMode.OPTIMIZED:
+            spec = with_free_allocation(spec)
+        problem = build(spec, objective, allocation)
+        sol = solve_milp(problem)
+        assert sol.status is Status.OPTIMAL
+        assert verify_solution(problem, sol.x).ok
+        external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
+        assert sol.objective == pytest.approx(external_obj, abs=1e-6)
 
+    def test_optimized_allocation_solves(self):
         problem = build(with_free_allocation(tiny_spec()), Objective.PRICE, AllocationMode.OPTIMIZED)
         sol = solve_milp(problem)
         assert sol.status is Status.OPTIMAL
