@@ -219,6 +219,10 @@ def main(argv=None) -> int:
     except _ValidationFailure as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
+    except (IngestError, ZeroCoveredGeneration, OSError) as exc:
+        # Before ValueError: ZeroCoveredGeneration subclasses it.
+        print(exc, file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         # Model builders reject invalid specs with ValueError.
         print(exc, file=sys.stderr)
@@ -226,9 +230,6 @@ def main(argv=None) -> int:
     except ScenarioInfeasible as exc:
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (IngestError, ZeroCoveredGeneration, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
     except SolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

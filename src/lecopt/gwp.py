@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from lecopt.domain import DEFAULT_PV_EMISSION_FACTOR, HOUR, HourlySeries
 

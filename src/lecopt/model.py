@@ -10,6 +10,11 @@ Decision variables per hour t and participant p:
   alloc[t,p]                    hourly share of net generation, kWh
                                 (only when the allocation itself is optimized)
 
+Each kind is one contiguous column block, in the order listed, hour-major
+and participant-minor: `VariableIndex.block(kind)` gives its column numbers
+shaped (T, P) or (T,), so `x[index.block(CHI_BUY)]` is the (T, P) purchase
+schedule. One problem covers one optimization window of T hours; the last
+window of a horizon that is not a multiple of the window length is shorter.
 Big-M constants are exactly the contracted power of the active tariff
 period, never a generic large number.
 """
@@ -18,12 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from lecopt.domain import CommunitySpec, SharingMode, validate_community
+from lecopt.domain import CommunitySpec, validate_community
 
 INF = math.inf
 
@@ -60,36 +65,37 @@ def _sanitize(name: str) -> str:
 
 
 class VariableIndex:
-    """Bijection between (kind, hour, participant) and dense column indices."""
+    """Column layout: one contiguous block per variable kind, in the order of `names`.
+
+    Within a block columns run hour-major, participant-minor, so
+    `block(kind)` is an arange shaped (T, P) for the per-participant kinds
+    and (T,) for the battery kinds.
+    """
 
     def __init__(self, horizon: int, participant_ids: Sequence[str], optimized_allocation: bool):
         self.horizon = horizon
         self.participant_ids = tuple(participant_ids)
-        self.optimized_allocation = optimized_allocation
-        self._index: dict[tuple[str, int, str | None], int] = {}
-        names: list[str] = []
-        for kind in _PER_PARTICIPANT_KINDS:
-            for t in range(horizon):
-                for pid in self.participant_ids:
-                    self._index[(kind, t, pid)] = len(names)
-                    names.append(f"{kind}_{t}_{_sanitize(pid)}")
-        for kind in _BATTERY_KINDS:
-            for t in range(horizon):
-                self._index[(kind, t, None)] = len(names)
-                names.append(f"{kind}_{t}")
+        T, P = horizon, len(self.participant_ids)
+        shapes = [(kind, (T, P)) for kind in _PER_PARTICIPANT_KINDS]
+        shapes += [(kind, (T,)) for kind in _BATTERY_KINDS]
         if optimized_allocation:
-            for t in range(horizon):
-                for pid in self.participant_ids:
-                    self._index[(ALLOC, t, pid)] = len(names)
-                    names.append(f"{ALLOC}_{t}_{_sanitize(pid)}")
+            shapes.append((ALLOC, (T, P)))
+        self._blocks: dict[str, tuple[int, tuple[int, ...]]] = {}
+        names: list[str] = []
+        pids = [_sanitize(pid) for pid in self.participant_ids]
+        for kind, shape in shapes:
+            self._blocks[kind] = (len(names), shape)
+            if len(shape) == 2:
+                names += [f"{kind}_{t}_{pid}" for t in range(T) for pid in pids]
+            else:
+                names += [f"{kind}_{t}" for t in range(T)]
         self.names = tuple(names)
         self.num_cols = len(names)
 
-    def col(self, kind: str, t: int, pid: str | None = None) -> int:
-        return self._index[(kind, t, pid)]
-
-    def __iter__(self) -> Iterator[tuple[str, int, str | None]]:
-        return iter(self._index)
+    def block(self, kind: str) -> np.ndarray:
+        """Column numbers of `kind`, shaped (T, P) or (T,); KeyError for an absent kind."""
+        start, shape = self._blocks[kind]
+        return np.arange(start, start + math.prod(shape)).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,16 @@ class _Builder:
             raise ValueError(f"non-finite rhs in row {name}")
         self.rows.append(LinearRow(name, items, sense, float(rhs)))
 
-    def mark_binary(self, col: int) -> None:
-        self.binaries.add(col)
-        self.lb[col] = 0.0
-        self.ub[col] = 1.0
+    def mark_binary(self, cols: np.ndarray) -> None:
+        self.binaries.update(cols.ravel().tolist())
+        self.lb[cols] = 0.0
+        self.ub[cols] = 1.0
+
+
+def _column_pairs(*blocks: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[int, int], ...]:
+    """Column pairs (a, b) of equally shaped blocks, block after block in raveled order."""
+    stacked = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in blocks])
+    return tuple(map(tuple, stacked.tolist()))
 
 
 def build(
@@ -199,12 +211,14 @@ def build(
     else:
         _set_environment_objective(b, spec)
 
-    pairs = [(index.col(CHI_BUY, t, pid), index.col(CHI_SELL, t, pid)) for t in range(T) for pid in ids]
-    pairs += [(index.col(SIGMA_CH, t), index.col(SIGMA_DIS, t)) for t in range(T)]
-    links = [(index.col(DELTA_BUY, t, pid), index.col(CHI_BUY, t, pid)) for t in range(T) for pid in ids]
-    links += [(index.col(DELTA_SELL, t, pid), index.col(CHI_SELL, t, pid)) for t in range(T) for pid in ids]
-    links += [(index.col(DELTA_CH, t), index.col(SIGMA_CH, t)) for t in range(T)]
-    links += [(index.col(DELTA_DIS, t), index.col(SIGMA_DIS, t)) for t in range(T)]
+    buy, sell, ch, dis = (index.block(k) for k in (CHI_BUY, CHI_SELL, SIGMA_CH, SIGMA_DIS))
+    pairs = _column_pairs((buy, sell), (ch, dis))
+    links = _column_pairs(
+        (index.block(DELTA_BUY), buy),
+        (index.block(DELTA_SELL), sell),
+        (index.block(DELTA_CH), ch),
+        (index.block(DELTA_DIS), dis),
+    )
 
     label = f"objective={objective.value} allocation={allocation.value} horizon={T}h participants={len(ids)}"
     return MilpProblem(
@@ -216,8 +230,8 @@ def build(
         lb=tuple(b.lb),
         ub=tuple(b.ub),
         binaries=frozenset(b.binaries),
-        complementary_pairs=tuple(pairs),
-        binary_links=tuple(links),
+        complementary_pairs=pairs,
+        binary_links=links,
         objective_kind=objective,
         allocation_mode=allocation,
     )
@@ -225,25 +239,21 @@ def build(
 
 def _declare_variables(b: _Builder, spec: CommunitySpec, allocation: AllocationMode) -> None:
     index = b.index
-    T = spec.horizon_hours
-    for t in range(T):
-        for p in spec.participants:
-            b.ub[index.col(CHI_BUY, t, p.id)] = p.import_limit(t)
-            b.ub[index.col(CHI_SELL, t, p.id)] = p.export_limit(t)
-            b.mark_binary(index.col(DELTA_BUY, t, p.id))
-            b.mark_binary(index.col(DELTA_SELL, t, p.id))
-        b.ub[index.col(SIGMA_CH, t)] = spec.bess.p_ch_max
-        b.ub[index.col(SIGMA_DIS, t)] = spec.bess.p_dis_max
-        b.mark_binary(index.col(DELTA_CH, t))
-        b.mark_binary(index.col(DELTA_DIS, t))
-        soc = index.col(SOC, t)
-        b.lb[soc] = spec.bess.soc_min
-        b.ub[soc] = spec.bess.soc_max
-        if allocation is AllocationMode.OPTIMIZED:
-            for p in spec.participants:
-                g = index.col(ALLOC, t, p.id)
-                b.lb[g] = -spec.bess.p_ch_max
-                b.ub[g] = spec.pv.generation.values[t] + spec.bess.p_dis_max
+    bess = spec.bess
+    hours = range(spec.horizon_hours)
+    b.ub[index.block(CHI_BUY)] = [[p.import_limit(t) for p in spec.participants] for t in hours]
+    b.ub[index.block(CHI_SELL)] = [[p.export_limit(t) for p in spec.participants] for t in hours]
+    b.ub[index.block(SIGMA_CH)] = bess.p_ch_max
+    b.ub[index.block(SIGMA_DIS)] = bess.p_dis_max
+    soc = index.block(SOC)
+    b.lb[soc] = bess.soc_min
+    b.ub[soc] = bess.soc_max
+    for kind in (DELTA_BUY, DELTA_SELL, DELTA_CH, DELTA_DIS):
+        b.mark_binary(index.block(kind))
+    if allocation is AllocationMode.OPTIMIZED:
+        alloc = index.block(ALLOC)
+        b.lb[alloc] = -bess.p_ch_max
+        b.ub[alloc] = (spec.pv.generation.as_array() + bess.p_dis_max)[:, None]
 
 
 def _add_energy_balance(b: _Builder, spec: CommunitySpec, allocation: AllocationMode) -> None:
@@ -251,81 +261,55 @@ def _add_energy_balance(b: _Builder, spec: CommunitySpec, allocation: Allocation
     # Optimized mode: alloc + buy = load + sell; alloc is tied to net generation
     # by the sharing rows.
     index = b.index
+    buy, sell = index.block(CHI_BUY).tolist(), index.block(CHI_SELL).tolist()
+    ch, dis = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist()
+    alloc = index.block(ALLOC).tolist() if allocation is AllocationMode.OPTIMIZED else None
     for t in range(spec.horizon_hours):
         pv = spec.pv.generation.values[t]
-        for p in spec.participants:
+        for k, p in enumerate(spec.participants):
             load = p.load.values[t]
-            coeffs = {
-                index.col(CHI_BUY, t, p.id): 1.0,
-                index.col(CHI_SELL, t, p.id): -1.0,
-            }
+            coeffs = {buy[t][k]: 1.0, sell[t][k]: -1.0}
             if allocation is AllocationMode.FIXED:
                 beta = spec.sharing.coefficient(p.id, t)
-                coeffs[index.col(SIGMA_DIS, t)] = beta
-                coeffs[index.col(SIGMA_CH, t)] = -beta
+                coeffs[dis[t]] = beta
+                coeffs[ch[t]] = -beta
                 rhs = load - beta * pv
             else:
-                coeffs[index.col(ALLOC, t, p.id)] = 1.0
+                coeffs[alloc[t][k]] = 1.0
                 rhs = load
             b.add_row(f"balance_{t}_{_sanitize(p.id)}", coeffs, "=", rhs)
 
 
 def _add_exclusivity(b: _Builder, spec: CommunitySpec) -> None:
     index = b.index
+    buy, sell = index.block(CHI_BUY).tolist(), index.block(CHI_SELL).tolist()
+    dbuy, dsell = index.block(DELTA_BUY).tolist(), index.block(DELTA_SELL).tolist()
     for t in range(spec.horizon_hours):
-        for p in spec.participants:
-            db = index.col(DELTA_BUY, t, p.id)
-            ds = index.col(DELTA_SELL, t, p.id)
+        for k, p in enumerate(spec.participants):
+            db, ds = dbuy[t][k], dsell[t][k]
             b.add_row(f"excl_{t}_{_sanitize(p.id)}", {db: 1.0, ds: 1.0}, "<=", 1.0)
-            b.add_row(
-                f"buycap_{t}_{_sanitize(p.id)}",
-                {index.col(CHI_BUY, t, p.id): 1.0, db: -p.import_limit(t)},
-                "<=",
-                0.0,
-            )
-            b.add_row(
-                f"sellcap_{t}_{_sanitize(p.id)}",
-                {index.col(CHI_SELL, t, p.id): 1.0, ds: -p.export_limit(t)},
-                "<=",
-                0.0,
-            )
+            b.add_row(f"buycap_{t}_{_sanitize(p.id)}", {buy[t][k]: 1.0, db: -p.import_limit(t)}, "<=", 0.0)
+            b.add_row(f"sellcap_{t}_{_sanitize(p.id)}", {sell[t][k]: 1.0, ds: -p.export_limit(t)}, "<=", 0.0)
 
 
 def _add_battery(b: _Builder, spec: CommunitySpec) -> None:
     index = b.index
     bess = spec.bess
     T = spec.horizon_hours
+    ch, dis, soc = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist(), index.block(SOC).tolist()
+    dch, ddis = index.block(DELTA_CH).tolist(), index.block(DELTA_DIS).tolist()
     for t in range(T):
-        coeffs = {
-            index.col(SOC, t): 1.0,
-            index.col(SIGMA_CH, t): -bess.eta_ch,
-            index.col(SIGMA_DIS, t): 1.0 / bess.eta_dis,
-        }
+        coeffs = {soc[t]: 1.0, ch[t]: -bess.eta_ch, dis[t]: 1.0 / bess.eta_dis}
         rhs = 0.0
         if t == 0:
             rhs = bess.soc_initial
         else:
-            coeffs[index.col(SOC, t - 1)] = -1.0
+            coeffs[soc[t - 1]] = -1.0
         b.add_row(f"socdyn_{t}", coeffs, "=", rhs)
-        b.add_row(
-            f"chcap_{t}",
-            {index.col(SIGMA_CH, t): 1.0, index.col(DELTA_CH, t): -bess.p_ch_max},
-            "<=",
-            0.0,
-        )
-        b.add_row(
-            f"discap_{t}",
-            {index.col(SIGMA_DIS, t): 1.0, index.col(DELTA_DIS, t): -bess.p_dis_max},
-            "<=",
-            0.0,
-        )
-        b.add_row(
-            f"battexcl_{t}",
-            {index.col(DELTA_CH, t): 1.0, index.col(DELTA_DIS, t): 1.0},
-            "<=",
-            1.0,
-        )
-    b.add_row(f"socend", {index.col(SOC, T - 1): 1.0}, "=", bess.soc_final)
+        b.add_row(f"chcap_{t}", {ch[t]: 1.0, dch[t]: -bess.p_ch_max}, "<=", 0.0)
+        b.add_row(f"discap_{t}", {dis[t]: 1.0, ddis[t]: -bess.p_dis_max}, "<=", 0.0)
+        b.add_row(f"battexcl_{t}", {dch[t]: 1.0, ddis[t]: 1.0}, "<=", 1.0)
+    b.add_row(f"socend", {soc[T - 1]: 1.0}, "=", bess.soc_final)
 
 
 def _add_sharing(b: _Builder, spec: CommunitySpec) -> None:
@@ -333,60 +317,47 @@ def _add_sharing(b: _Builder, spec: CommunitySpec) -> None:
     # Each share is capped by gross generation above and total charging below,
     # so net-charging hours distribute the charge as consumption.
     index = b.index
+    alloc = index.block(ALLOC).tolist()
+    ch, dis = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist()
     for t in range(spec.horizon_hours):
         pv = spec.pv.generation.values[t]
-        coeffs = {index.col(ALLOC, t, p.id): 1.0 for p in spec.participants}
-        coeffs[index.col(SIGMA_DIS, t)] = -1.0
-        coeffs[index.col(SIGMA_CH, t)] = 1.0
+        coeffs = {g: 1.0 for g in alloc[t]}
+        coeffs[dis[t]] = -1.0
+        coeffs[ch[t]] = 1.0
         b.add_row(f"share_{t}", coeffs, "=", pv)
-        for p in spec.participants:
-            g = index.col(ALLOC, t, p.id)
-            b.add_row(
-                f"sharelo_{t}_{_sanitize(p.id)}",
-                {g: 1.0, index.col(SIGMA_CH, t): 1.0},
-                ">=",
-                0.0,
-            )
-            b.add_row(
-                f"sharehi_{t}_{_sanitize(p.id)}",
-                {g: 1.0, index.col(SIGMA_DIS, t): -1.0},
-                "<=",
-                pv,
-            )
+        for g, p in zip(alloc[t], spec.participants):
+            b.add_row(f"sharelo_{t}_{_sanitize(p.id)}", {g: 1.0, ch[t]: 1.0}, ">=", 0.0)
+            b.add_row(f"sharehi_{t}_{_sanitize(p.id)}", {g: 1.0, dis[t]: -1.0}, "<=", pv)
 
 
 def _add_compensation_cap(b: _Builder, spec: CommunitySpec) -> None:
     # Billing-period rule: compensated surplus value cannot exceed the value
     # of imported consumption. Off by default.
     index = b.index
-    for p in spec.participants:
+    buy, sell = index.block(CHI_BUY).T.tolist(), index.block(CHI_SELL).T.tolist()
+    for k, p in enumerate(spec.participants):
         coeffs: dict[int, float] = {}
         for t in range(spec.horizon_hours):
-            coeffs[index.col(CHI_SELL, t, p.id)] = p.sell_price.values[t]
-            coeffs[index.col(CHI_BUY, t, p.id)] = -p.buy_price.values[t]
+            coeffs[sell[k][t]] = p.sell_price.values[t]
+            coeffs[buy[k][t]] = -p.buy_price.values[t]
         b.add_row(f"compcap_{_sanitize(p.id)}", coeffs, "<=", 0.0)
 
 
 def _set_price_objective(b: _Builder, spec: CommunitySpec) -> None:
     index = b.index
-    for t in range(spec.horizon_hours):
-        for p in spec.participants:
-            b.objective[index.col(CHI_BUY, t, p.id)] = p.buy_price.values[t]
-            b.objective[index.col(CHI_SELL, t, p.id)] = -p.sell_price.values[t]
-        if spec.bess.throughput_cost_per_kwh:
-            b.objective[index.col(SIGMA_CH, t)] = spec.bess.throughput_cost_per_kwh
-            b.objective[index.col(SIGMA_DIS, t)] = spec.bess.throughput_cost_per_kwh
+    b.objective[index.block(CHI_BUY)] = np.column_stack([p.buy_price.as_array() for p in spec.participants])
+    b.objective[index.block(CHI_SELL)] = -np.column_stack([p.sell_price.as_array() for p in spec.participants])
+    if spec.bess.throughput_cost_per_kwh:
+        b.objective[index.block(SIGMA_CH)] = spec.bess.throughput_cost_per_kwh
+        b.objective[index.block(SIGMA_DIS)] = spec.bess.throughput_cost_per_kwh
     b.objective_constant = spec.horizon_hours * spec.bess.calendar_cost_per_hour
 
 
 def _set_environment_objective(b: _Builder, spec: CommunitySpec) -> None:
     # Only consumed energy carries emissions: sold energy has no coefficient.
     index = b.index
-    for t in range(spec.horizon_hours):
-        intensity = spec.grid_intensity.values[t]
-        for p in spec.participants:
-            b.objective[index.col(CHI_BUY, t, p.id)] = intensity
-        b.objective[index.col(SIGMA_DIS, t)] = spec.bess.emission_factor_discharge
+    b.objective[index.block(CHI_BUY)] = spec.grid_intensity.as_array()[:, None]
+    b.objective[index.block(SIGMA_DIS)] = spec.bess.emission_factor_discharge
     b.objective_constant = spec.pv.emission_factor * float(np.sum(spec.pv.generation.as_array()))
 
 
@@ -394,10 +365,7 @@ def net_generation(problem: MilpProblem, x: Sequence[float], spec: CommunitySpec
     """Hourly community net generation theta = pv + discharge - charge."""
     index = problem.index
     xs = np.asarray(x, dtype=float)
-    pv = spec.pv.generation.as_array()
-    dis = np.array([xs[index.col(SIGMA_DIS, t)] for t in range(index.horizon)])
-    ch = np.array([xs[index.col(SIGMA_CH, t)] for t in range(index.horizon)])
-    return pv + dis - ch
+    return spec.pv.generation.as_array() + xs[index.block(SIGMA_DIS)] - xs[index.block(SIGMA_CH)]
 
 
 def participant_allocation(
@@ -409,16 +377,12 @@ def participant_allocation(
     mode the allocation variables themselves.
     """
     index = problem.index
-    xs = np.asarray(x, dtype=float)
-    theta = net_generation(problem, x, spec)
-    out: dict[str, np.ndarray] = {}
-    for p in spec.participants:
-        if problem.allocation_mode is AllocationMode.FIXED:
-            betas = np.array([spec.sharing.coefficient(p.id, t) for t in range(index.horizon)])
-            out[p.id] = betas * theta
-        else:
-            out[p.id] = np.array([xs[index.col(ALLOC, t, p.id)] for t in range(index.horizon)])
-    return out
+    if problem.allocation_mode is AllocationMode.FIXED:
+        theta = net_generation(problem, x, spec)
+        hours = range(index.horizon)
+        return {p.id: np.array([spec.sharing.coefficient(p.id, t) for t in hours]) * theta for p in spec.participants}
+    alloc = np.asarray(x, dtype=float)[index.block(ALLOC)].T.copy()  # one contiguous row per participant
+    return {p.id: row for p, row in zip(spec.participants, alloc)}
 
 
 def effective_coefficients(
@@ -429,22 +393,14 @@ def effective_coefficients(
     In optimized mode beta = alloc / theta where theta is nonzero; hours with
     theta == 0 fall back to the static coefficients (uniform when absent).
     """
-    index = problem.index
     theta = net_generation(problem, x, spec)
     alloc = participant_allocation(problem, x, spec)
     ids = spec.participant_ids()
-    fallback = {
-        pid: float(spec.sharing.static_coefficients.get(pid, 1.0 / len(ids)))
-        for pid in ids
-    }
+    nonzero = np.abs(theta) > zero_tol
     out: dict[str, np.ndarray] = {}
     for pid in ids:
-        betas = np.empty(index.horizon)
-        for t in range(index.horizon):
-            if abs(theta[t]) > zero_tol:
-                betas[t] = alloc[pid][t] / theta[t]
-            else:
-                betas[t] = fallback[pid]
+        betas = np.full(theta.size, float(spec.sharing.static_coefficients.get(pid, 1.0 / len(ids))))
+        np.divide(alloc[pid], theta, out=betas, where=nonzero)
         out[pid] = betas
     return out
 

@@ -1,7 +1,8 @@
 """Scenario pipeline: baseline, optimization runs, settlement, comparison.
 
-A multi-day dataset is solved as independent daily windows with the
-equal-endpoint battery rule applied per window; results merge in day
+A multi-day dataset is solved as independent windows (daily by default,
+the last one shorter when the horizon is not a multiple) with the
+equal-endpoint battery rule applied per window; results merge in window
 order. Settlements allocate battery operating cost and shared-asset
 emissions to participants with their (realized) sharing coefficients.
 """
@@ -10,15 +11,13 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from lecopt.domain import CommunitySpec, slice_community, validate_community
 from lecopt.model import (
-    ALLOC,
     CHI_BUY,
     CHI_SELL,
     SIGMA_CH,
@@ -161,12 +160,15 @@ def _settle_window(
 ) -> tuple[dict[str, float], dict[str, float], HourlyTraces]:
     index = problem.index
     x = np.asarray(solution.x, dtype=float)
-    T = spec.horizon_hours
     bess = spec.bess
 
-    charge = np.array([x[index.col(SIGMA_CH, t)] for t in range(T)])
-    discharge = np.array([x[index.col(SIGMA_DIS, t)] for t in range(T)])
-    soc = np.array([x[index.col(SOC, t)] for t in range(T)])
+    charge = x[index.block(SIGMA_CH)]
+    discharge = x[index.block(SIGMA_DIS)]
+    soc = x[index.block(SOC)]
+    # Transposed copies: one contiguous row per participant. A strided row
+    # would change np.dot's summation order and the last bits of a cost.
+    buy = x[index.block(CHI_BUY)].T.copy()
+    sell = x[index.block(CHI_SELL)].T.copy()
     betas = effective_coefficients(problem, x, spec)
     theta = net_generation(problem, x, spec)
     pv = spec.pv.generation.as_array()
@@ -178,23 +180,15 @@ def _settle_window(
 
     costs: dict[str, float] = {}
     emissions: dict[str, float] = {}
-    buy_by_p: dict[str, array] = {}
-    sell_by_p: dict[str, array] = {}
-    for p in spec.participants:
-        buy = np.array([x[index.col(CHI_BUY, t, p.id)] for t in range(T)])
-        sell = np.array([x[index.col(CHI_SELL, t, p.id)] for t in range(T)])
+    for k, p in enumerate(spec.participants):
         beta = betas[p.id]
         costs[p.id] = float(
-            np.dot(p.buy_price.as_array(), buy)
-            - np.dot(p.sell_price.as_array(), sell)
+            np.dot(p.buy_price.as_array(), buy[k])
+            - np.dot(p.sell_price.as_array(), sell[k])
             + np.dot(beta, battery_cost)
         )
-        emissions[p.id] = float(np.dot(intensity, buy) + np.dot(beta, shared_emissions))
-        buy_by_p[p.id] = _floats(buy)
-        sell_by_p[p.id] = _floats(sell)
+        emissions[p.id] = float(np.dot(intensity, buy[k]) + np.dot(beta, shared_emissions))
 
-    buy_total = np.sum([buy_by_p[p.id] for p in spec.participants], axis=0)
-    sell_total = np.sum([sell_by_p[p.id] for p in spec.participants], axis=0)
     load_total = np.sum([p.load.as_array() for p in spec.participants], axis=0)
     price_buy = np.mean([p.buy_price.as_array() for p in spec.participants], axis=0)
     price_sell = np.mean([p.sell_price.as_array() for p in spec.participants], axis=0)
@@ -208,12 +202,12 @@ def _settle_window(
         charge=_floats(charge),
         discharge=_floats(discharge),
         baseline_load=_floats(load_total),
-        lec_load=_floats(buy_total),
+        lec_load=_floats(buy.sum(axis=0)),
         pv=_floats(pv),
-        sold=_floats(sell_total),
+        sold=_floats(sell.sum(axis=0)),
         net_generation=_floats(theta),
-        buy_by_participant=buy_by_p,
-        sell_by_participant=sell_by_p,
+        buy_by_participant={p.id: _floats(row) for p, row in zip(spec.participants, buy)},
+        sell_by_participant={p.id: _floats(row) for p, row in zip(spec.participants, sell)},
     )
     return costs, emissions, traces
 
@@ -246,10 +240,11 @@ def run_scenario(
 ) -> SettlementReport:
     """Build, solve, verify, and settle one scenario.
 
-    When the horizon is a multiple of `window_hours`, each window is solved
-    independently (the battery endpoint rule applies per window); otherwise
-    the whole horizon is one problem. Raises ValueError for a window below
-    one hour.
+    The horizon is cut into windows of `window_hours`, the last one shorter
+    when the horizon is not a multiple; each window is solved independently
+    (the battery endpoint rule applies per window). `window_hours=None`
+    solves the whole horizon as one window. Raises ValueError for a window
+    below one hour.
     """
     if window_hours is not None and window_hours < 1:
         raise ValueError(f"window_hours must be at least 1, got {window_hours}")
@@ -259,10 +254,10 @@ def run_scenario(
     cfg = solve_config or SolveConfig()
 
     T = spec.horizon_hours
-    if window_hours is not None and T > window_hours and T % window_hours == 0:
-        windows = [slice_community(spec, d * window_hours, window_hours) for d in range(T // window_hours)]
-    else:
+    if window_hours is None or T <= window_hours:
         windows = [spec]
+    else:
+        windows = [slice_community(spec, s, min(window_hours, T - s)) for s in range(0, T, window_hours)]
 
     costs: dict[str, float] = {p: 0.0 for p in spec.participant_ids()}
     emissions: dict[str, float] = {p: 0.0 for p in spec.participant_ids()}
@@ -274,7 +269,7 @@ def run_scenario(
 
     for day, window in enumerate(windows):
         problem = build(window, objective, allocation)
-        label = problem.scenario_label
+        label = label or problem.scenario_label
         solution = solve_milp(problem, cfg)
         if solution.status is not Status.OPTIMAL:
             if solution.status is Status.LIMIT_REACHED:
@@ -302,7 +297,7 @@ def run_scenario(
     return SettlementReport(
         scenario_label=label,
         objective=objective.value,
-        allocation=(allocation or (AllocationMode.OPTIMIZED if spec.sharing.optimized else AllocationMode.FIXED)).value,
+        allocation=problem.allocation_mode.value,
         costs_eur=costs,
         emissions_kg=emissions,
         objective_value=objective_value,

@@ -42,7 +42,7 @@ from lecopt.solver import Status, solve_milp, verify_solution
 
 from lp_parser import parse_lp, solution_vector, solve_with_scipy
 from oracle import enumerate_best, random_instance
-from util import flat_bess, tiny_spec, with_free_allocation
+from util import col, flat_bess, tiny_spec, with_free_allocation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,17 +91,17 @@ def test_feasibility_audit(community48):
                 # Exclusivity exact at integer binaries.
                 for t in range(24):
                     for pid in window.participant_ids():
-                        db = x[index.col(DELTA_BUY, t, pid)]
-                        ds = x[index.col(DELTA_SELL, t, pid)]
+                        db = x[col(index, DELTA_BUY, t, pid)]
+                        ds = x[col(index, DELTA_SELL, t, pid)]
                         assert db in (0.0, 1.0) and ds in (0.0, 1.0)
                         assert db + ds <= 1.0
                         if db == 0.0:
-                            assert x[index.col(CHI_BUY, t, pid)] <= 1e-6
+                            assert x[col(index, CHI_BUY, t, pid)] <= 1e-6
                         if ds == 0.0:
-                            assert x[index.col(CHI_SELL, t, pid)] <= 1e-6
+                            assert x[col(index, CHI_SELL, t, pid)] <= 1e-6
 
                 # SOC inside the fixture battery window, endpoints at 150 kWh.
-                soc = np.array([x[index.col(SOC, t)] for t in range(24)])
+                soc = np.array([x[col(index, SOC, t)] for t in range(24)])
                 assert np.all(soc >= 31.65 - 1e-6) and np.all(soc <= 189.9 + 1e-6)
                 assert abs(soc[-1] - 150.0) <= 1e-6
 

@@ -65,6 +65,15 @@ class TestGwp:
         code, _, _ = run(capsys, "gwp", "--mix", str(tmp_path / "absent.csv"))
         assert code == EXIT_IO
 
+    def test_uncovered_mix_is_io_error(self, tmp_path, capsys):
+        # ZeroCoveredGeneration subclasses ValueError but is an input problem, not a validation failure.
+        mix = tmp_path / "mix.csv"
+        mix.write_text("timestamp,unobtainium\n2022-03-03 00:00:00,10\n2022-03-03 01:00:00,12\n", encoding="utf-8")
+        code, out, err = run(capsys, "gwp", "--mix", str(mix))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err == "covered generation is zero at 2022-03-03 00:00:00\n"
+
 
 class TestBaseline:
     def test_stdout_table(self, fixture_dir, capsys):

@@ -9,6 +9,10 @@ from lecopt.model import (
     ALLOC,
     CHI_BUY,
     CHI_SELL,
+    DELTA_BUY,
+    DELTA_CH,
+    DELTA_DIS,
+    DELTA_SELL,
     SIGMA_CH,
     SIGMA_DIS,
     SOC,
@@ -22,7 +26,7 @@ from lecopt.model import (
 )
 from lecopt.solver import solve_milp, verify_solution
 
-from util import flat_bess, tiny_spec, with_free_allocation
+from util import col, flat_bess, tiny_spec, with_free_allocation
 
 
 def _row(problem, name):
@@ -63,10 +67,10 @@ class TestRows:
         row = _row(problem, "balance_0_A")
         idx = problem.index
         coeffs = dict(row.coeffs)
-        assert coeffs[idx.col(CHI_BUY, 0, "A")] == 1.0
-        assert coeffs[idx.col(CHI_SELL, 0, "A")] == -1.0
-        assert coeffs[idx.col(SIGMA_DIS, 0)] == pytest.approx(0.6)
-        assert coeffs[idx.col(SIGMA_CH, 0)] == pytest.approx(-0.6)
+        assert coeffs[col(idx, CHI_BUY, 0, "A")] == 1.0
+        assert coeffs[col(idx, CHI_SELL, 0, "A")] == -1.0
+        assert coeffs[col(idx, SIGMA_DIS, 0)] == pytest.approx(0.6)
+        assert coeffs[col(idx, SIGMA_CH, 0)] == pytest.approx(-0.6)
         assert row.sense == "="
         assert row.rhs == pytest.approx(4.0 - 0.6 * 5.0)
 
@@ -75,9 +79,9 @@ class TestRows:
         problem = build(spec, Objective.PRICE)
         idx = problem.index
         buycap = dict(_row(problem, "buycap_0_A").coeffs)
-        assert buycap[idx.col("delta_buy", 0, "A")] == -100.0  # participant import limit
+        assert buycap[col(idx, "delta_buy", 0, "A")] == -100.0  # participant import limit
         chcap = dict(_row(problem, "chcap_0").coeffs)
-        assert chcap[idx.col("delta_ch", 0)] == -spec.bess.p_ch_max
+        assert chcap[col(idx, "delta_ch", 0)] == -spec.bess.p_ch_max
 
     def test_soc_dynamics_coefficients(self):
         spec = tiny_spec(bess=flat_bess(eta_ch=0.95, eta_dis=0.95))
@@ -85,18 +89,18 @@ class TestRows:
         idx = problem.index
         first = _row(problem, "socdyn_0")
         coeffs = dict(first.coeffs)
-        assert coeffs[idx.col(SIGMA_CH, 0)] == pytest.approx(-0.95)
-        assert coeffs[idx.col(SIGMA_DIS, 0)] == pytest.approx(1 / 0.95)
+        assert coeffs[col(idx, SIGMA_CH, 0)] == pytest.approx(-0.95)
+        assert coeffs[col(idx, SIGMA_DIS, 0)] == pytest.approx(1 / 0.95)
         assert first.rhs == spec.bess.soc_initial
         later = dict(_row(problem, "socdyn_1").coeffs)
-        assert later[idx.col(SOC, 0)] == -1.0
+        assert later[col(idx, SOC, 0)] == -1.0
         end = _row(problem, "socend")
         assert end.rhs == spec.bess.soc_final
 
     def test_soc_bounds(self):
         spec = tiny_spec()
         problem = build(spec, Objective.PRICE)
-        j = problem.index.col(SOC, 1)
+        j = col(problem.index, SOC, 1)
         assert problem.lb[j] == spec.bess.soc_min
         assert problem.ub[j] == spec.bess.soc_max
 
@@ -106,10 +110,10 @@ class TestRows:
         idx = problem.index
         share = _row(problem, "share_0")
         coeffs = dict(share.coeffs)
-        assert coeffs[idx.col(ALLOC, 0, "A")] == 1.0
-        assert coeffs[idx.col(ALLOC, 0, "B")] == 1.0
-        assert coeffs[idx.col(SIGMA_DIS, 0)] == -1.0
-        assert coeffs[idx.col(SIGMA_CH, 0)] == 1.0
+        assert coeffs[col(idx, ALLOC, 0, "A")] == 1.0
+        assert coeffs[col(idx, ALLOC, 0, "B")] == 1.0
+        assert coeffs[col(idx, SIGMA_DIS, 0)] == -1.0
+        assert coeffs[col(idx, SIGMA_CH, 0)] == 1.0
         assert share.rhs == spec.pv.generation.values[0]
 
     def test_compensation_cap_row(self):
@@ -167,8 +171,8 @@ class TestObjectives:
         problem = build(spec, Objective.PRICE)
         idx = problem.index
         c = problem.objective
-        assert c[idx.col(CHI_BUY, 0, "A")] == pytest.approx(0.3)
-        assert c[idx.col(CHI_SELL, 1, "A")] == pytest.approx(-0.05)
+        assert c[col(idx, CHI_BUY, 0, "A")] == pytest.approx(0.3)
+        assert c[col(idx, CHI_SELL, 1, "A")] == pytest.approx(-0.05)
         assert problem.objective_constant == pytest.approx(2 * 0.25)
 
     def test_environment_objective_ignores_sales(self):
@@ -178,9 +182,9 @@ class TestObjectives:
         c = problem.objective
         for t in range(2):
             for pid in ("A", "B"):
-                assert c[idx.col(CHI_SELL, t, pid)] == 0.0
-                assert c[idx.col(CHI_BUY, t, pid)] == pytest.approx(spec.grid_intensity.values[t])
-            assert c[idx.col(SIGMA_DIS, t)] == pytest.approx(spec.bess.emission_factor_discharge)
+                assert c[col(idx, CHI_SELL, t, pid)] == 0.0
+                assert c[col(idx, CHI_BUY, t, pid)] == pytest.approx(spec.grid_intensity.values[t])
+            assert c[col(idx, SIGMA_DIS, t)] == pytest.approx(spec.bess.emission_factor_discharge)
         assert problem.objective_constant == pytest.approx(
             spec.pv.emission_factor * sum(spec.pv.generation.values)
         )
@@ -250,11 +254,11 @@ class TestSolutionHelpers:
         opt = build(free_spec, Objective.PRICE, AllocationMode.OPTIMIZED)
         theta = net_generation(fixed, sol.x, spec)
         x = np.zeros(opt.num_cols)
-        for kind, t, pid in fixed.index:
-            x[opt.index.col(kind, t, pid)] = sol.x[fixed.index.col(kind, t, pid)]
+        for kind in (CHI_BUY, CHI_SELL, DELTA_BUY, DELTA_SELL, SIGMA_CH, SIGMA_DIS, DELTA_CH, DELTA_DIS, SOC):
+            x[opt.index.block(kind)] = np.asarray(sol.x)[fixed.index.block(kind)]
         for t in range(spec.horizon_hours):
             for pid in spec.participant_ids():
-                x[opt.index.col(ALLOC, t, pid)] = spec.sharing.coefficient(pid, t) * theta[t]
+                x[col(opt.index, ALLOC, t, pid)] = spec.sharing.coefficient(pid, t) * theta[t]
         assert verify_solution(opt, x).ok
         obj = float(np.dot(opt.objective, x)) + opt.objective_constant
         assert obj == pytest.approx(sol.objective, abs=1e-9)

@@ -168,6 +168,21 @@ class TestWindows:
         report = run_scenario(spec, Objective.PRICE, window_hours=24)
         assert "windows" not in report.scenario_label
 
+    def test_short_final_window(self, community48):
+        from lecopt.domain import slice_community
+
+        spec = slice_community(community48, 0, 36)
+        split = run_scenario(spec, Objective.PRICE, window_hours=24)
+        assert split.scenario_label.endswith("x 2 windows")
+        assert len(split.traces.timestamps) == 36
+        parts = [
+            run_scenario(slice_community(community48, start, hours), Objective.PRICE, window_hours=None)
+            for start, hours in ((0, 24), (24, 12))
+        ]
+        assert split.objective_value == pytest.approx(sum(p.objective_value for p in parts), abs=1e-9)
+        for pid in community48.participant_ids():
+            assert split.costs_eur[pid] == pytest.approx(sum(p.costs_eur[pid] for p in parts), abs=1e-9)
+
     def test_soc_trace_respects_window_endpoints(self, matrix48):
         report = matrix48[(Objective.PRICE, AllocationMode.FIXED)]
         soc = report.traces.soc

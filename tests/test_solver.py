@@ -13,7 +13,7 @@ from lecopt.model import AllocationMode, Objective, build, export_lp_text
 from lecopt.solver import SolveConfig, Status, _simplex, solve_lp, solve_milp, verify_solution
 
 from lp_parser import load_solution_file, parse_lp, solution_vector, solve_with_scipy
-from util import flat_bess, tiny_spec, with_free_allocation
+from util import col, flat_bess, tiny_spec, with_free_allocation
 
 
 def dense_lp(A, rhs, senses, c, lb, ub):
@@ -205,6 +205,21 @@ class TestSolveMilp:
         external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
         assert sol.objective == pytest.approx(external_obj, abs=1e-6)
 
+    def test_binding_compensation_cap_matches_external_solver(self):
+        # Uncapped, B sells its share of the surplus while only A imports;
+        # the cap limits each participant's sales to its own import value.
+        spec = tiny_spec(pv=(14.0, 0.0))
+        objectives = {}
+        for capped in (False, True):
+            problem = build(dataclasses.replace(spec, compensation_cap_enabled=capped), Objective.PRICE)
+            sol = solve_milp(problem)
+            assert sol.status is Status.OPTIMAL
+            assert verify_solution(problem, sol.x).ok
+            external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
+            assert sol.objective == pytest.approx(external_obj, abs=1e-6)
+            objectives[capped] = sol.objective
+        assert objectives[True] > objectives[False] + 0.1
+
     def test_optimized_allocation_solves(self):
         problem = build(with_free_allocation(tiny_spec()), Objective.PRICE, AllocationMode.OPTIMIZED)
         sol = solve_milp(problem)
@@ -217,7 +232,7 @@ class TestVerifySolution:
         problem = build(tiny_spec(), Objective.PRICE)
         sol = solve_milp(problem)
         x = np.asarray(sol.x).copy()
-        x[problem.index.col("chi_buy", 0, "A")] += 1.0
+        x[col(problem.index, "chi_buy", 0, "A")] += 1.0
         report = verify_solution(problem, x)
         assert not report.ok
         assert any(v.kind == "row" for v in report.violations)
@@ -226,7 +241,7 @@ class TestVerifySolution:
         problem = build(tiny_spec(), Objective.PRICE)
         sol = solve_milp(problem)
         x = np.asarray(sol.x).copy()
-        x[problem.index.col("soc", 0)] = problem.ub[problem.index.col("soc", 0)] + 1.0
+        x[col(problem.index, "soc", 0)] = problem.ub[col(problem.index, "soc", 0)] + 1.0
         assert any(v.kind == "bound" for v in verify_solution(problem, x).violations)
 
     def test_catches_fractional_binary(self):

@@ -76,3 +76,9 @@ def with_free_allocation(spec: CommunitySpec) -> CommunitySpec:
             static_coefficients=dict(spec.sharing.static_coefficients),
         ),
     )
+
+
+def col(index, kind: str, t: int, pid: str | None = None) -> int:
+    """Column of `kind` at hour `t` (and participant `pid` for the per-participant kinds)."""
+    block = index.block(kind)
+    return int(block[t] if pid is None else block[t, index.participant_ids.index(pid)])
