@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import functools
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,13 +40,17 @@ class HourlySeries:
     """A timestamp-aligned hourly numeric series.
 
     Timestamps must be strictly increasing with exactly 1 h spacing; gaps
-    are rejected at construction (no interpolation, ever).
+    are rejected at construction (no interpolation, ever). Values are
+    stored as `array('d')`, 8 bytes per hour instead of a boxed Python float
+    each; any other sequence of numbers is converted at construction.
     """
 
     timestamps: tuple[datetime, ...]
-    values: tuple[float, ...]
+    values: array
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.values, array) and self.values.typecode == "d"):
+            object.__setattr__(self, "values", array("d", self.values))
         if len(self.timestamps) != len(self.values):
             raise ValueError(
                 f"timestamps ({len(self.timestamps)}) and values "
@@ -58,8 +63,8 @@ class HourlySeries:
                 raise ValueError(f"non-hourly step between {prev} and {cur}")
 
     @classmethod
-    def from_values(cls, values: Iterable[float], start: datetime | None = None) -> HourlySeries:
-        vals = tuple(float(v) for v in values)
+    def from_values(cls, values: Sequence[float] | np.ndarray, start: datetime | None = None) -> HourlySeries:
+        vals = array("d", np.asarray(values, dtype=float).tobytes())
         t0 = start if start is not None else datetime(2022, 3, 3)
         return cls(_hourly_stamps(t0, t0.tzinfo, len(vals)), vals)
 
@@ -67,7 +72,8 @@ class HourlySeries:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """A fresh float array; writing to it leaves the series unchanged."""
+        return np.frombuffer(self.values, dtype=float).copy()
 
     def window(self, start: int, length: int) -> HourlySeries:
         """Sub-series of `length` hours beginning at index `start`."""

@@ -13,9 +13,13 @@ pair to zero. Most windows of this problem family close at the root node.
 included, so a model change that breaks this projection fails loudly.
 
 Dense tableaus are deliberate: case-study problems stay in the hundreds of
-columns. Determinism is a contract: identical problems yield identical
-solutions, pivot for pivot (Dantzig pricing with index tie-breaks, Bland's
-rule engaged after degenerate stretches).
+columns. The entering column is hypersparse (most pivots touch one or two
+rows), so the rank-1 update rewrites only the rows with a nonzero in it;
+every other row would subtract an exact zero. Bounds do not move within a
+phase, so the pricing masks that depend on them are built once per phase.
+Determinism is a contract: identical problems yield identical solutions,
+pivot for pivot (Dantzig pricing with index tie-breaks, Bland's rule
+engaged after degenerate stretches).
 """
 
 from __future__ import annotations
@@ -210,6 +214,10 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
     def run_phase(c_phase: np.ndarray, frozen: np.ndarray) -> Status:
         nonlocal iterations, T, xB
         d = c_phase - c_phase[basis] @ T
+        # Bounds and frozen columns hold for the whole phase. A nonbasic
+        # column sits exactly on a bound unless both of its bounds are
+        # infinite, so a fixed column never prices and is dropped here once.
+        movable = ~frozen & ~(np.isfinite(lb) & np.isfinite(ub) & (ub - lb < 1e-12))
         degenerate_streak = 0
         since_refresh = 0
         max_iter = 20000 + 50 * N_tot
@@ -219,25 +227,17 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
                 raise SolverError("simplex iteration limit exceeded")
             bland = degenerate_streak >= DEGENERATE_STREAK_FOR_BLAND
 
-            at_lb = ~in_basis & ~frozen & np.isfinite(lb) & (np.abs(x - lb) < 1e-11)
-            at_ub = ~in_basis & ~frozen & np.isfinite(ub) & (np.abs(x - ub) < 1e-11) & ~at_lb
-            free = ~in_basis & ~frozen & ~at_lb & ~at_ub
-            fixed = np.isfinite(lb) & np.isfinite(ub) & (ub - lb < 1e-12)
-            improve = np.zeros(N_tot)
-            sel = at_lb & ~fixed & (d < -DUAL_TOL)
-            improve[sel] = -d[sel]
-            sel = at_ub & ~fixed & (d > DUAL_TOL)
-            improve[sel] = d[sel]
-            sel = free & (np.abs(d) > DUAL_TOL)
-            improve[sel] = np.abs(d[sel])
-            candidates = np.nonzero(improve > 0)[0]
+            # Infinite bounds never compare as "at": x stays finite.
+            at_lb = np.abs(x - lb) < 1e-11
+            at_ub = np.abs(x - ub) < 1e-11
+            # Raise a column off its lower bound (or from in between) when d < 0,
+            # lower it off its upper bound (or from in between) when d > 0.
+            improving = ((d < -DUAL_TOL) & (at_lb | ~at_ub)) | ((d > DUAL_TOL) & ~at_lb)
+            candidates = np.flatnonzero(improving & movable & ~in_basis)
             if candidates.size == 0:
                 return Status.OPTIMAL
-            if bland:
-                j = int(candidates[0])
-            else:
-                best = improve[candidates].max()
-                j = int(candidates[improve[candidates] >= best][0])
+            # Bland: the lowest index; Dantzig: the largest |d|, lowest index on ties.
+            j = int(candidates[0] if bland else candidates[np.argmax(np.abs(d[candidates]))])
             sign = 1.0 if d[j] < 0 else -1.0
 
             y = T[:, j]
@@ -273,11 +273,12 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
                 x[leave] = lb[leave] if incr[r] < 0 else ub[leave]
                 if not np.isfinite(x[leave]):
                     x[leave] = xB[r]  # leaving at an infinite bound cannot happen; guard
-                piv = T[r, j]
-                Tr = T[r] / piv
-                colj = T[:, j].copy()
-                colj[r] = 0.0
-                T -= np.outer(colj, Tr)
+                Tr = T[r] / T[r, j]
+                # Rows with a zero in column j would subtract an exact zero
+                # (at most turning a -0.0 into +0.0, which no pivot test reads).
+                rows = np.flatnonzero(y)
+                rows = rows[rows != r]
+                T[rows] -= np.outer(T[rows, j], Tr)
                 T[r] = Tr
                 d -= d[j] * Tr
                 xB[r] = entering_val
@@ -355,14 +356,17 @@ def verify_solution(
         )
         if bad:
             out.append(SolutionViolation("row", row.name, f"lhs {lhs:.9g} {row.sense} rhs {row.rhs:.9g} violated by {resid:.3g}"))
-    for j in range(problem.num_cols):
-        if xs[j] < problem.lb[j] - feas_tol:
+    below = xs < np.asarray(problem.lb) - feas_tol
+    above = xs > np.asarray(problem.ub) + feas_tol
+    for j in np.flatnonzero(below | above).tolist():
+        if below[j]:
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} below lower bound {problem.lb[j]:.9g}"))
-        if xs[j] > problem.ub[j] + feas_tol:
+        if above[j]:
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} above upper bound {problem.ub[j]:.9g}"))
-    for j in sorted(problem.binaries):
-        if abs(xs[j] - round(xs[j])) > int_tol:
-            out.append(SolutionViolation("integrality", problem.col_name(j), f"value {xs[j]:.9g} not within {int_tol:g} of an integer"))
+    binaries = np.array(sorted(problem.binaries), dtype=int)
+    fractional = np.abs(xs[binaries] - np.round(xs[binaries])) > int_tol
+    for j in binaries[fractional].tolist():
+        out.append(SolutionViolation("integrality", problem.col_name(j), f"value {xs[j]:.9g} not within {int_tol:g} of an integer"))
     return ViolationReport(tuple(out))
 
 

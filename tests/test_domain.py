@@ -63,7 +63,7 @@ class TestHourlySeries:
     def test_window(self):
         s = HourlySeries.from_values(range(10), T0)
         w = s.window(3, 4)
-        assert w.values == (3.0, 4.0, 5.0, 6.0)
+        assert tuple(w.values) == (3.0, 4.0, 5.0, 6.0)
         assert w.timestamps[0] == T0 + 3 * H
 
     def test_window_out_of_range(self):
@@ -205,8 +205,8 @@ class TestSliceCommunity:
         )
         window = slice_community(spec, 2, 2)
         assert window.horizon_hours == 2
-        assert window.participants[0].load.values == (1.0, 2.0)
-        assert window.grid_intensity.values == (0.3, 0.2)
+        assert tuple(window.participants[0].load.values) == (1.0, 2.0)
+        assert tuple(window.grid_intensity.values) == (0.3, 0.2)
         assert validate_community(window).ok
 
     def test_slice_keeps_battery_endpoints(self):

@@ -36,7 +36,7 @@ GOOD_CSV = (
 class TestLoadSeries:
     def test_happy_path(self, tmp_path):
         series = load_series_csv(write(tmp_path / "a.csv", GOOD_CSV), "power")
-        assert series.values == (1.5, 2.5, 0.0)
+        assert tuple(series.values) == (1.5, 2.5, 0.0)
         assert series.timestamps[0].hour == 0
 
     def test_missing_column(self, tmp_path):

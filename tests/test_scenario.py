@@ -120,6 +120,16 @@ class TestRunScenario:
         b = run_scenario(tiny_spec(), Objective.PRICE)
         assert a == b
 
+    def test_fixture_pivot_and_node_counts(self, matrix48):
+        # Determinism is pivot for pivot: a change to the pivot rules shows up here.
+        counts = {key: (r.iterations, r.node_count) for key, r in matrix48.items()}
+        assert counts == {
+            (Objective.PRICE, AllocationMode.FIXED): (381, 2),
+            (Objective.PRICE, AllocationMode.OPTIMIZED): (893, 2),
+            (Objective.ENVIRONMENT, AllocationMode.FIXED): (279, 2),
+            (Objective.ENVIRONMENT, AllocationMode.OPTIMIZED): (843, 2),
+        }
+
     def test_infeasible_scenario_diagnosed(self):
         spec = tiny_spec(bess=flat_bess(soc_final=80.0, p_ch_max=5.0))
         with pytest.raises(ScenarioInfeasible, match="no feasible schedule"):
@@ -163,7 +173,7 @@ class TestWindows:
         with pytest.raises(ValueError, match=f"window_hours must be at least 1, got {hours}"):
             run_scenario(tiny_spec(), Objective.PRICE, window_hours=hours)
 
-    def test_windowing_skipped_when_not_divisible(self):
+    def test_horizon_shorter_than_window_is_one_window(self):
         spec = tiny_spec()  # 2 h horizon, window 24 h
         report = run_scenario(spec, Objective.PRICE, window_hours=24)
         assert "windows" not in report.scenario_label

@@ -166,8 +166,10 @@ class TestSolveMilp:
         assert sol.status is Status.OPTIMAL
         assert verify_solution(problem, sol.x).ok
 
-    @pytest.mark.parametrize("unit_efficiency", [False, True], ids=["fixture-eta", "unit-eta"])
-    def test_negative_price_hour_matches_external_solver(self, unit_efficiency):
+    @pytest.mark.parametrize(
+        "unit_efficiency, counts", [(False, (1584, 9)), (True, (14789, 81))], ids=["fixture-eta", "unit-eta"]
+    )
+    def test_negative_price_hour_matches_external_solver(self, unit_efficiency, counts):
         # Negative buy and sell prices at one hour make the relaxation buy
         # and sell at once, so branch-and-bound has to close the overlap.
         day = slice_community(synthetic_community(48), 0, 24)
@@ -186,6 +188,7 @@ class TestSolveMilp:
         problem = build(spec, Objective.PRICE)
         sol = solve_milp(problem, SolveConfig(time_limit=30))
         assert sol.status is Status.OPTIMAL
+        assert (sol.iterations, sol.node_count) == counts  # pivots and nodes stay pinned
         assert verify_solution(problem, sol.x).ok
         external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
         assert sol.objective == pytest.approx(external_obj, abs=1e-6)
@@ -251,6 +254,21 @@ class TestVerifySolution:
         j = sorted(problem.binaries)[0]
         x[j] = 0.5
         assert any(v.kind == "integrality" for v in verify_solution(problem, x).violations)
+
+    def test_column_violations_in_column_order(self):
+        # Bounds come by column, then integrality; the binary's column lies
+        # between the two bound columns.
+        problem = build(tiny_spec(), Objective.PRICE)
+        x = np.asarray(solve_milp(problem).x).copy()
+        x[col(problem.index, "chi_buy", 0, "A")] = -1.0
+        x[col(problem.index, "delta_buy", 0, "A")] = 0.5
+        x[col(problem.index, "soc", 1)] = 101.0
+        report = verify_solution(problem, x)
+        assert [str(v) for v in report.violations if v.kind != "row"] == [
+            "bound chi_buy_0_A: -1 below lower bound 0",
+            "bound soc_1: 101 above upper bound 100",
+            "integrality delta_buy_0_A: value 0.5 not within 1e-06 of an integer",
+        ]
 
     def test_wrong_length_rejected(self):
         problem = build(tiny_spec(), Objective.PRICE)
