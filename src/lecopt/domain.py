@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -263,12 +264,13 @@ def validate_community(spec: CommunitySpec) -> ValidationReport:
                 out.append(Violation(f"{base}.sell_price", "negative sell price"))
             if any(b < s for b, s in zip(p.buy_price.values, p.sell_price.values)):
                 out.append(Violation(f"{base}", "buy price below sell price in some hour"))
+        # Contracted powers bound the flows and are the export's big-M: finite.
         for period, kw in p.max_import.items():
-            if kw <= 0:
-                out.append(Violation(f"{base}.max_import[{period}]", f"must be > 0, got {kw}"))
+            if not 0 < kw < math.inf:
+                out.append(Violation(f"{base}.max_import[{period}]", f"must be finite and > 0, got {kw}"))
         for period, kw in p.max_export.items():
-            if kw < 0:
-                out.append(Violation(f"{base}.max_export[{period}]", f"must be >= 0, got {kw}"))
+            if not 0 <= kw < math.inf:
+                out.append(Violation(f"{base}.max_export[{period}]", f"must be finite and >= 0, got {kw}"))
         if p.tariff_period_map is not None:
             if len(p.tariff_period_map) != spec.horizon_hours:
                 out.append(Violation(f"{base}.tariff_period_map", f"length {len(p.tariff_period_map)} != horizon {spec.horizon_hours}"))
@@ -280,10 +282,10 @@ def validate_community(spec: CommunitySpec) -> ValidationReport:
             out.append(Violation(f"{base}.max_import", "no limit for tariff period 1"))
 
     b = spec.bess
-    if b.p_ch_max <= 0:
-        out.append(Violation("bess.p_ch_max", f"must be > 0, got {b.p_ch_max}"))
-    if b.p_dis_max <= 0:
-        out.append(Violation("bess.p_dis_max", f"must be > 0, got {b.p_dis_max}"))
+    if not 0 < b.p_ch_max < math.inf:
+        out.append(Violation("bess.p_ch_max", f"must be finite and > 0, got {b.p_ch_max}"))
+    if not 0 < b.p_dis_max < math.inf:
+        out.append(Violation("bess.p_dis_max", f"must be finite and > 0, got {b.p_dis_max}"))
     if not 0 < b.eta_ch <= 1:
         out.append(Violation("bess.eta_ch", f"must be in (0, 1], got {b.eta_ch}"))
     if not 0 < b.eta_dis <= 1:

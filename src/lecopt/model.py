@@ -1,11 +1,9 @@
-"""Translation of a validated community spec into a sparse MILP.
+"""Translation of a validated community spec into a scheduling problem.
 
-Decision variables per hour t and participant p:
+Decision variables per hour t and participant p, all continuous:
 
   chi_buy[t,p], chi_sell[t,p]   grid purchase / sale, kWh
-  delta_buy[t,p], delta_sell[t,p]  binaries forbidding simultaneous buy+sell
   sigma_ch[t], sigma_dis[t]     battery charge / discharge, kWh
-  delta_ch[t], delta_dis[t]     binaries forbidding simultaneous charge+discharge
   soc[t]                        battery state of charge at the end of hour t, kWh
   alloc[t,p]                    hourly share of net generation, kWh
                                 (only when the allocation itself is optimized)
@@ -15,8 +13,14 @@ and participant-minor: `VariableIndex.block(kind)` gives its column numbers
 shaped (T, P) or (T,), so `x[index.block(CHI_BUY)]` is the (T, P) purchase
 schedule. One problem covers one optimization window of T hours; the last
 window of a horizon that is not a multiple of the window length is shorter.
-Big-M constants are exactly the contracted power of the active tariff
-period, never a generic large number.
+
+The problem is an LP plus complementarity pairs: nobody buys and sells in
+the same hour (buy, sell), and the battery never charges and discharges at
+once (ch, dis). The solver enforces the pairs by branching on them.
+`export_lp_text` writes the equivalent MILP for external solvers: one
+binary per flow of a pair, a big-M cap per flow, and an exclusivity row
+per pair. Each big-M is the flow's upper bound, i.e. exactly the contracted
+power of the active tariff period, never a generic large number.
 """
 
 from __future__ import annotations
@@ -47,17 +51,13 @@ class AllocationMode(enum.Enum):
 
 CHI_BUY = "chi_buy"
 CHI_SELL = "chi_sell"
-DELTA_BUY = "delta_buy"
-DELTA_SELL = "delta_sell"
 SIGMA_CH = "sigma_ch"
 SIGMA_DIS = "sigma_dis"
-DELTA_CH = "delta_ch"
-DELTA_DIS = "delta_dis"
 SOC = "soc"
 ALLOC = "alloc"
 
-_PER_PARTICIPANT_KINDS = (CHI_BUY, CHI_SELL, DELTA_BUY, DELTA_SELL)
-_BATTERY_KINDS = (SIGMA_CH, SIGMA_DIS, DELTA_CH, DELTA_DIS, SOC)
+_PER_PARTICIPANT_KINDS = (CHI_BUY, CHI_SELL)
+_BATTERY_KINDS = (SIGMA_CH, SIGMA_DIS, SOC)
 
 
 def _sanitize(name: str) -> str:
@@ -110,11 +110,13 @@ class LinearRow:
 
 @dataclass(frozen=True)
 class MilpProblem:
-    """Immutable sparse MILP: objective, rows, bounds, binary markers.
+    """Immutable sparse LP with complementarity pairs: objective, rows, bounds, pairs.
 
-    `complementary_pairs` and `binary_links` record which continuous
-    columns must be complementary and which binary enables which flow;
-    the solver branches on the pairs and reads the binaries off the links.
+    Each pair (a, b) of `complementary_pairs` is a buy/sell or
+    charge/discharge column pair of which at most one may be positive.
+    The pairs are the only discrete part of the problem: it has no binary
+    columns (see `export_lp_text` for the binaries an external MILP solver
+    needs).
     """
 
     scenario_label: str
@@ -124,9 +126,7 @@ class MilpProblem:
     rows: tuple[LinearRow, ...]
     lb: tuple[float, ...]
     ub: tuple[float, ...]
-    binaries: frozenset[int]
     complementary_pairs: tuple[tuple[int, int], ...]
-    binary_links: tuple[tuple[int, int], ...]
     objective_kind: Objective = Objective.PRICE
     allocation_mode: AllocationMode = AllocationMode.FIXED
 
@@ -137,6 +137,11 @@ class MilpProblem:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
+
+    @property
+    def binaries(self) -> frozenset[int]:
+        """Binary columns: none, the pairs take their place."""
+        return frozenset()
 
     def col_name(self, j: int) -> str:
         return self.index.names[j]
@@ -150,7 +155,6 @@ class _Builder:
         self.ub = np.full(index.num_cols, INF)
         self.objective = np.zeros(index.num_cols)
         self.objective_constant = 0.0
-        self.binaries: set[int] = set()
 
     def add_row(self, name: str, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
         items = tuple(sorted((c, float(v)) for c, v in coeffs.items() if v != 0.0))
@@ -160,11 +164,6 @@ class _Builder:
         if not math.isfinite(rhs):
             raise ValueError(f"non-finite rhs in row {name}")
         self.rows.append(LinearRow(name, items, sense, float(rhs)))
-
-    def mark_binary(self, cols: np.ndarray) -> None:
-        self.binaries.update(cols.ravel().tolist())
-        self.lb[cols] = 0.0
-        self.ub[cols] = 1.0
 
 
 def _column_pairs(*blocks: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[int, int], ...]:
@@ -178,7 +177,7 @@ def build(
     objective: Objective,
     allocation: AllocationMode | None = None,
 ) -> MilpProblem:
-    """Build the full scheduling MILP for one optimization window.
+    """Build the scheduling LP and its complementarity pairs for one optimization window.
 
     `allocation` defaults to OPTIMIZED when the sharing scheme leaves the
     hourly coefficients free, FIXED otherwise. Raises ValueError when the
@@ -198,9 +197,11 @@ def build(
     index = VariableIndex(T, ids, allocation is AllocationMode.OPTIMIZED)
     b = _Builder(index)
 
+    # `export_lp_text` places the rows of its binaries by position: it needs
+    # the T*P balance rows first, the T `socdyn_t` rows next, and the pairs
+    # in the same (t, p) and t order.
     _declare_variables(b, spec, allocation)
     _add_energy_balance(b, spec, allocation)
-    _add_exclusivity(b, spec)
     _add_battery(b, spec)
     if allocation is AllocationMode.OPTIMIZED:
         _add_sharing(b, spec)
@@ -213,12 +214,6 @@ def build(
 
     buy, sell, ch, dis = (index.block(k) for k in (CHI_BUY, CHI_SELL, SIGMA_CH, SIGMA_DIS))
     pairs = _column_pairs((buy, sell), (ch, dis))
-    links = _column_pairs(
-        (index.block(DELTA_BUY), buy),
-        (index.block(DELTA_SELL), sell),
-        (index.block(DELTA_CH), ch),
-        (index.block(DELTA_DIS), dis),
-    )
 
     label = f"objective={objective.value} allocation={allocation.value} horizon={T}h participants={len(ids)}"
     return MilpProblem(
@@ -229,9 +224,7 @@ def build(
         rows=tuple(b.rows),
         lb=tuple(b.lb),
         ub=tuple(b.ub),
-        binaries=frozenset(b.binaries),
         complementary_pairs=pairs,
-        binary_links=links,
         objective_kind=objective,
         allocation_mode=allocation,
     )
@@ -248,8 +241,6 @@ def _declare_variables(b: _Builder, spec: CommunitySpec, allocation: AllocationM
     soc = index.block(SOC)
     b.lb[soc] = bess.soc_min
     b.ub[soc] = bess.soc_max
-    for kind in (DELTA_BUY, DELTA_SELL, DELTA_CH, DELTA_DIS):
-        b.mark_binary(index.block(kind))
     if allocation is AllocationMode.OPTIMIZED:
         alloc = index.block(ALLOC)
         b.lb[alloc] = -bess.p_ch_max
@@ -280,24 +271,11 @@ def _add_energy_balance(b: _Builder, spec: CommunitySpec, allocation: Allocation
             b.add_row(f"balance_{t}_{_sanitize(p.id)}", coeffs, "=", rhs)
 
 
-def _add_exclusivity(b: _Builder, spec: CommunitySpec) -> None:
-    index = b.index
-    buy, sell = index.block(CHI_BUY).tolist(), index.block(CHI_SELL).tolist()
-    dbuy, dsell = index.block(DELTA_BUY).tolist(), index.block(DELTA_SELL).tolist()
-    for t in range(spec.horizon_hours):
-        for k, p in enumerate(spec.participants):
-            db, ds = dbuy[t][k], dsell[t][k]
-            b.add_row(f"excl_{t}_{_sanitize(p.id)}", {db: 1.0, ds: 1.0}, "<=", 1.0)
-            b.add_row(f"buycap_{t}_{_sanitize(p.id)}", {buy[t][k]: 1.0, db: -p.import_limit(t)}, "<=", 0.0)
-            b.add_row(f"sellcap_{t}_{_sanitize(p.id)}", {sell[t][k]: 1.0, ds: -p.export_limit(t)}, "<=", 0.0)
-
-
 def _add_battery(b: _Builder, spec: CommunitySpec) -> None:
     index = b.index
     bess = spec.bess
     T = spec.horizon_hours
     ch, dis, soc = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist(), index.block(SOC).tolist()
-    dch, ddis = index.block(DELTA_CH).tolist(), index.block(DELTA_DIS).tolist()
     for t in range(T):
         coeffs = {soc[t]: 1.0, ch[t]: -bess.eta_ch, dis[t]: 1.0 / bess.eta_dis}
         rhs = 0.0
@@ -306,9 +284,6 @@ def _add_battery(b: _Builder, spec: CommunitySpec) -> None:
         else:
             coeffs[soc[t - 1]] = -1.0
         b.add_row(f"socdyn_{t}", coeffs, "=", rhs)
-        b.add_row(f"chcap_{t}", {ch[t]: 1.0, dch[t]: -bess.p_ch_max}, "<=", 0.0)
-        b.add_row(f"discap_{t}", {dis[t]: 1.0, ddis[t]: -bess.p_dis_max}, "<=", 0.0)
-        b.add_row(f"battexcl_{t}", {dch[t]: 1.0, ddis[t]: 1.0}, "<=", 1.0)
     b.add_row(f"socend", {soc[T - 1]: 1.0}, "=", bess.soc_final)
 
 
@@ -416,39 +391,59 @@ def _term(coef: float, name: str, first: bool) -> str:
     return f"{lead}{_fmt(mag)} {name}"
 
 
+def _terms(terms) -> str:
+    """`(name, coef)` terms as LP text; zero coefficients are dropped, as `_Builder.add_row` drops them."""
+    nonzero = [(name, coef) for name, coef in terms if coef != 0.0]
+    return " ".join(_term(coef, name, k == 0) for k, (name, coef) in enumerate(nonzero))
+
+
+def _row_text(name: str, terms, sense: str, rhs: float) -> str:
+    return f" {name}: {_terms(terms)} {sense} {_fmt(rhs)}"
+
+
 def export_lp_text(problem: MilpProblem) -> str:
-    """Render the problem in LP text format for external cross-checking.
+    """Render the problem as a MILP in LP text format for external cross-checking.
+
+    LP text has no complementarity constraints, so each member f of a pair
+    gets a binary `delta_<f without its kind prefix>` (`delta_buy_3_B1` for
+    `chi_buy_3_B1`), the cap row f - ub(f) * delta_f <= 0, and each pair the
+    exclusivity row delta_a + delta_b <= 1. These rows sit right after the
+    balance row of their (hour, participant), or the `socdyn_t` row of
+    their hour, as `build` orders them.
 
     Deterministic: identical problems export byte-identical text. The
     objective constant is not representable in LP format and is recorded in
     a leading comment instead.
     """
+    names, ub = problem.index.names, problem.ub
+    grid_pairs = problem.index.horizon * len(problem.index.participant_ids)
+    grid, battery = problem.complementary_pairs[:grid_pairs], problem.complementary_pairs[grid_pairs:]
+
+    def delta(j: int) -> str:
+        return "delta_" + names[j].split("_", 1)[1]
+
+    def cap(j: int) -> str:
+        _, short, suffix = names[j].split("_", 2)
+        return _row_text(f"{short}cap_{suffix}", [(names[j], 1.0), (delta(j), -ub[j])], "<=", 0.0)
+
+    def exclusion(prefix: str, a: int, b: int) -> str:
+        return _row_text(f"{prefix}_{names[a].split('_', 2)[2]}", [(delta(a), 1.0), (delta(b), 1.0)], "<=", 1.0)
+
     lines = [f"\\ scenario: {problem.scenario_label}"]
     lines.append(f"\\ objective constant: {_fmt(problem.objective_constant)}")
     lines.append("Minimize")
-    terms: list[str] = []
-    first = True
-    for j, coef in enumerate(problem.objective):
-        if coef == 0.0:
-            continue
-        terms.append(_term(coef, problem.col_name(j), first))
-        first = False
-    if not terms:
-        terms = ["0 " + problem.col_name(0)]
-    lines.append(" obj: " + " ".join(terms))
+    lines.append(" obj: " + (_terms(zip(names, problem.objective)) or "0 " + names[0]))
     lines.append("Subject To")
-    for row in problem.rows:
-        parts: list[str] = []
-        for k, (col, coef) in enumerate(row.coeffs):
-            parts.append(_term(coef, problem.col_name(col), k == 0))
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-        lines.append(f" {row.name}: " + " ".join(parts) + f" {sense} {_fmt(row.rhs)}")
+    rows = [_row_text(r.name, [(names[c], v) for c, v in r.coeffs], r.sense, r.rhs) for r in problem.rows]
+    lines += rows[:grid_pairs]
+    for a, b in grid:
+        lines += [exclusion("excl", a, b), cap(a), cap(b)]
+    for t, (a, b) in enumerate(battery):
+        lines += [rows[grid_pairs + t], cap(a), cap(b), exclusion("battexcl", a, b)]
+    lines += rows[grid_pairs + len(battery):]
     lines.append("Bounds")
-    for j in range(problem.num_cols):
-        if j in problem.binaries:
-            continue
-        lo, hi = problem.lb[j], problem.ub[j]
-        name = problem.col_name(j)
+    for j, name in enumerate(names):
+        lo, hi = problem.lb[j], ub[j]
         if lo == hi:
             lines.append(f" {name} = {_fmt(lo)}")
         elif math.isinf(hi):
@@ -456,9 +451,7 @@ def export_lp_text(problem: MilpProblem) -> str:
                 lines.append(f" {name} >= {_fmt(lo)}")
         else:
             lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    if problem.binaries:
-        lines.append("Binaries")
-        for j in sorted(problem.binaries):
-            lines.append(f" {problem.col_name(j)}")
+    lines.append("Binaries")
+    lines += [f" {delta(pair[m])}" for group in (grid, battery) for m in (0, 1) for pair in group]
     lines.append("End")
     return "\n".join(lines) + "\n"

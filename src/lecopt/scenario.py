@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from datetime import datetime
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,9 +66,11 @@ class HourlyTraces:
 
     Float traces are `array('d')`: 8 bytes per hour instead of a boxed
     Python float each, since multi-day runs keep every hour of every trace.
+    `timestamps` is the spec's own tuple, shared rather than copied; the
+    serializers render it as ISO-8601.
     """
 
-    timestamps: tuple[str, ...]  # ISO-8601
+    timestamps: tuple[datetime, ...]
     price_buy: array
     price_sell: array
     gwp_grid: array
@@ -194,7 +197,7 @@ def _settle_window(
     price_sell = np.mean([p.sell_price.as_array() for p in spec.participants], axis=0)
 
     traces = HourlyTraces(
-        timestamps=tuple(ts.isoformat() for ts in spec.grid_intensity.timestamps),
+        timestamps=spec.grid_intensity.timestamps,
         price_buy=_floats(price_buy),
         price_sell=_floats(price_sell),
         gwp_grid=_floats(intensity),
@@ -212,7 +215,7 @@ def _settle_window(
     return costs, emissions, traces
 
 
-def _merge_traces(parts: Sequence[HourlyTraces]) -> HourlyTraces:
+def _merge_traces(parts: Sequence[HourlyTraces], timestamps: tuple[datetime, ...]) -> HourlyTraces:
     if len(parts) == 1:
         return parts[0]
 
@@ -224,7 +227,7 @@ def _merge_traces(parts: Sequence[HourlyTraces]) -> HourlyTraces:
 
     ids = parts[0].buy_by_participant.keys()
     return HourlyTraces(
-        timestamps=tuple(ts for tr in parts for ts in tr.timestamps),
+        timestamps=timestamps,
         **{k: cat(getattr(tr, k) for tr in parts) for k in _FLOAT_TRACES},
         buy_by_participant={i: cat(tr.buy_by_participant[i] for tr in parts) for i in ids},
         sell_by_participant={i: cat(tr.sell_by_participant[i] for tr in parts) for i in ids},
@@ -303,7 +306,7 @@ def run_scenario(
         objective_value=objective_value,
         node_count=node_count,
         iterations=iterations,
-        traces=_merge_traces(trace_parts),
+        traces=_merge_traces(trace_parts, spec.grid_intensity.timestamps),
     )
 
 
@@ -361,7 +364,8 @@ def settlement_to_json(report: SettlementReport) -> str:
         "node_count": report.node_count,
         "iterations": report.iterations,
         "traces": {
-            **{k: list(getattr(report.traces, k)) for k in ("timestamps",) + _FLOAT_TRACES},
+            "timestamps": [ts.isoformat() for ts in report.traces.timestamps],
+            **{k: list(getattr(report.traces, k)) for k in _FLOAT_TRACES},
             "buy_by_participant": {k: list(v) for k, v in report.traces.buy_by_participant.items()},
             "sell_by_participant": {k: list(v) for k, v in report.traces.sell_by_participant.items()},
         },
@@ -373,7 +377,7 @@ def settlement_from_json(text: str) -> SettlementReport:
     data = json.loads(text)
     tr = data["traces"]
     traces = HourlyTraces(
-        timestamps=tuple(tr["timestamps"]),
+        timestamps=tuple(map(datetime.fromisoformat, tr["timestamps"])),
         **{k: _floats(tr[k]) for k in _FLOAT_TRACES},
         buy_by_participant={k: _floats(v) for k, v in tr["buy_by_participant"].items()},
         sell_by_participant={k: _floats(v) for k, v in tr["sell_by_participant"].items()},
@@ -444,7 +448,7 @@ def trace_csv(traces: HourlyTraces) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     for i, ts in enumerate(traces.timestamps):
         vals = [
-            ts,
+            ts.isoformat(),
             f"{traces.price_buy[i]:.6f}",
             f"{traces.price_sell[i]:.6f}",
             f"{traces.gwp_grid[i]:.6f}",

@@ -1,16 +1,14 @@
-"""Embedded exact MILP solver.
+"""Embedded exact solver for an LP with complementarity pairs.
 
-A two-phase primal simplex on the bounded-variable form handles the LP
-relaxations; a best-first branch-and-bound on the buy/sell and
-charge/discharge pairs closes the exclusivity the binaries encode. The LP
-the simplex sees omits the binary columns and every row that touches one:
-each big-M equals its flow's upper bound, so those rows add nothing the
-column bounds do not already say, and the smaller LP relaxes the MILP. A
-node whose LP keeps every pair complementary closes with the binaries read
-off the flows; otherwise it branches by fixing one member of a violated
-pair to zero. Most windows of this problem family close at the root node.
-`verify_solution` re-checks the full MILP, dropped rows and integrality
-included, so a model change that breaks this projection fails loudly.
+A two-phase primal simplex on the bounded-variable form solves the LP; a
+best-first branch-and-bound on the buy/sell and charge/discharge pairs of
+`MilpProblem.complementary_pairs` enforces that at most one member of each
+pair is positive (de Farias, Johnson & Nemhauser, KER 16(1), 2001: no
+auxiliary binaries). A node whose LP point keeps every pair complementary
+closes; otherwise it branches by fixing one member of a violated pair to
+zero. Most windows of this problem family close at the root node.
+`verify_solution` re-checks every row, bound and pair from the sparse
+problem data.
 
 Dense tableaus are deliberate: case-study problems stay in the hundreds of
 columns. The entering column is hypersparse (most pivots touch one or two
@@ -35,7 +33,6 @@ import numpy as np
 from lecopt.model import MilpProblem
 
 FEAS_TOL = 1e-6
-INT_TOL = 1e-6
 DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK_FOR_BLAND = 100
@@ -80,7 +77,7 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolutionViolation:
-    kind: str  # "row", "bound", "integrality"
+    kind: str  # "row", "bound", "complementarity"
     name: str
     message: str
 
@@ -101,42 +98,23 @@ class ViolationReport:
 
 
 class _Dense:
-    """Row-major dense image of a MilpProblem's binary-free LP, shared across B&B nodes.
-
-    Binary columns and every row with a coefficient on one are left out;
-    `cols` lists the kept columns in problem order and `pos` maps a problem
-    column to its place among them (-1 for a binary).
-    """
+    """Row-major dense image of a MilpProblem's LP, shared across B&B nodes."""
 
     def __init__(self, problem: MilpProblem):
-        binaries = problem.binaries
-        self.cols = np.array([j for j in range(problem.num_cols) if j not in binaries], dtype=int)
-        self.pos = np.full(problem.num_cols, -1)
-        self.pos[self.cols] = np.arange(self.cols.size)
-        pos = self.pos.tolist()
-        rows = [row for row in problem.rows if not any(col in binaries for col, _ in row.coeffs)]
-        m, n = len(rows), self.cols.size
+        m, n = problem.num_rows, problem.num_cols
         self.m, self.n = m, n
         self.A = np.zeros((m, n))
         self.rhs = np.zeros(m)
         self.senses: list[str] = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(problem.rows):
             for col, coef in row.coeffs:
-                self.A[i, pos[col]] += coef
+                self.A[i, col] += coef
             self.rhs[i] = row.rhs
             self.senses.append(row.sense)
-        self.c = np.asarray(problem.objective, dtype=float)[self.cols]
-        self.lb = np.asarray(problem.lb, dtype=float)[self.cols]
-        self.ub = np.asarray(problem.ub, dtype=float)[self.cols]
+        self.c = np.asarray(problem.objective, dtype=float)
+        self.lb = np.asarray(problem.lb, dtype=float)
+        self.ub = np.asarray(problem.ub, dtype=float)
         self.constant = problem.objective_constant
-        self.links = np.array(problem.binary_links, dtype=int).reshape(-1, 2)
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """Full-length problem vector: `x` scattered back, each linked binary 1 exactly when its flow exceeds 1e-9."""
-        full = np.zeros(self.pos.size)
-        full[self.cols] = x
-        full[self.links[:, 0]] = full[self.links[:, 1]] > 1e-9
-        return full
 
 
 def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status, np.ndarray | None, int]:
@@ -320,22 +298,19 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
 
 
 def solve_lp(problem: MilpProblem) -> LpSolution:
-    """Solve the binary-free LP relaxation; `x` is full length, binaries read off their flows."""
+    """Solve the LP with the complementarity pairs relaxed."""
     dense = _Dense(problem)
     status, x, iters = _simplex(dense, dense.lb.copy(), dense.ub.copy())
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, iters)
     obj = float(dense.c @ x) + dense.constant
-    return LpSolution(Status.OPTIMAL, tuple(dense.lift(x)), obj, iters)
+    return LpSolution(Status.OPTIMAL, tuple(x), obj, iters)
 
 
-def verify_solution(
-    problem: MilpProblem,
-    x,
-    feas_tol: float = FEAS_TOL,
-    int_tol: float = INT_TOL,
-) -> ViolationReport:
-    """Independent re-check of every row, bound, and binary integrality.
+def verify_solution(problem: MilpProblem, x, feas_tol: float = FEAS_TOL) -> ViolationReport:
+    """Independent re-check of every row, bound, and complementarity pair.
+
+    A pair is violated when both of its members exceed `feas_tol`.
 
     Works from the sparse problem data only; shares no state with the
     simplex. An empty report is required before any settlement is produced.
@@ -363,30 +338,29 @@ def verify_solution(
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} below lower bound {problem.lb[j]:.9g}"))
         if above[j]:
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} above upper bound {problem.ub[j]:.9g}"))
-    binaries = np.array(sorted(problem.binaries), dtype=int)
-    fractional = np.abs(xs[binaries] - np.round(xs[binaries])) > int_tol
-    for j in binaries[fractional].tolist():
-        out.append(SolutionViolation("integrality", problem.col_name(j), f"value {xs[j]:.9g} not within {int_tol:g} of an integer"))
+    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
+    for a, b in pairs[np.all(xs[pairs] > feas_tol, axis=1)].tolist():
+        out.append(SolutionViolation(
+            "complementarity", f"{problem.col_name(a)}/{problem.col_name(b)}",
+            f"both {xs[a]:.9g} and {xs[b]:.9g} exceed {feas_tol:g}",
+        ))
     return ViolationReport(tuple(out))
 
 
 def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpSolution:
     """Exact best-first branch-and-bound on the complementarity pairs.
 
-    Every node solves the binary-free LP of `_Dense`. A pair of
+    Every node solves the LP of `_Dense` under its bounds. A pair of
     `complementary_pairs` is violated when both members exceed 1e-9. A node
-    without a violated pair closes: its LP point, scattered back to full
-    length with each binary of `binary_links` set to 1 exactly when its
-    flow exceeds 1e-9, is MILP-feasible at the LP objective, because
-    binaries carry no objective weight and each big-M is the flow's upper
-    bound. Otherwise the node branches on the pair with the largest smaller
-    member (lowest pair index on ties): one child bounds the first member to
-    0, the next the second. Returns LIMIT_REACHED with the incumbent and
-    remaining gap when node or time limits bite.
+    without a violated pair closes with its LP point. Otherwise the node
+    branches on the pair with the largest smaller member (lowest pair index
+    on ties): one child bounds the first member to 0, the next the second.
+    Returns LIMIT_REACHED with the incumbent and remaining gap when node or
+    time limits bite.
     """
     cfg = config or SolveConfig()
     dense = _Dense(problem)
-    pairs = dense.pos[np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)]
+    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
     t_start = time.monotonic()
     total_iters = 0
     node_count = 0
@@ -430,7 +404,7 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
 
         overlap = np.minimum(x[pairs[:, 0]], x[pairs[:, 1]])
         if not np.any(overlap > 1e-9):
-            incumbent, incumbent_obj = dense.lift(x), node_obj
+            incumbent, incumbent_obj = x, node_obj
             continue
 
         for col in pairs[int(np.argmax(overlap))]:

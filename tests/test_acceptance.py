@@ -20,8 +20,8 @@ from lecopt.gwp import EmissionFactorTable, GenerationMixHour, hourly_intensity
 from lecopt.model import (
     CHI_BUY,
     CHI_SELL,
-    DELTA_BUY,
-    DELTA_SELL,
+    SIGMA_CH,
+    SIGMA_DIS,
     SOC,
     AllocationMode,
     Objective,
@@ -88,17 +88,9 @@ def test_feasibility_audit(community48):
                 # Balance residuals <= 1e-6 kWh (and all other rows/bounds).
                 assert verify_solution(problem, x, feas_tol=1e-6).ok
 
-                # Exclusivity exact at integer binaries.
-                for t in range(24):
-                    for pid in window.participant_ids():
-                        db = x[col(index, DELTA_BUY, t, pid)]
-                        ds = x[col(index, DELTA_SELL, t, pid)]
-                        assert db in (0.0, 1.0) and ds in (0.0, 1.0)
-                        assert db + ds <= 1.0
-                        if db == 0.0:
-                            assert x[col(index, CHI_BUY, t, pid)] <= 1e-6
-                        if ds == 0.0:
-                            assert x[col(index, CHI_SELL, t, pid)] <= 1e-6
+                # Exclusivity on the flows: no hour both buys and sells, or charges and discharges.
+                for a, b in ((CHI_BUY, CHI_SELL), (SIGMA_CH, SIGMA_DIS)):
+                    assert np.all(np.minimum(x[index.block(a)], x[index.block(b)]) <= 1e-9)
 
                 # SOC inside the fixture battery window, endpoints at 150 kWh.
                 soc = np.array([x[col(index, SOC, t)] for t in range(24)])
@@ -225,8 +217,7 @@ def test_scale_and_runtime(community48):
     """[PRIMARY] one day solves in < 5 s; 300 sequential days in < 10 min."""
     window = slice_community(community48, 0, 24)
     problem = build(window, Objective.PRICE)
-    assert problem.num_cols >= 400
-    assert len(problem.binaries) >= 200
+    assert (problem.num_rows, problem.num_cols, len(problem.complementary_pairs)) == (121, 264, 120)
     t0 = time.monotonic()
     solution = solve_milp(problem)
     one_day = time.monotonic() - t0
@@ -262,7 +253,8 @@ def test_cross_validation(community48):
         ours = solve_milp(problem)
         assert ours.status is Status.OPTIMAL
         assert abs(external_obj - ours.objective) <= 1e-6, problem.scenario_label
-        x_external = solution_vector(problem, values)
+        # The export's binaries are not columns of the problem.
+        x_external = solution_vector(problem, {name: values[name] for name in problem.index.names})
         assert verify_solution(problem, x_external).ok, problem.scenario_label
     print(f"[PRIMARY] cross-validation: PASS ({len(cases)} problems, external/embedded gap <= 1e-6)")
 

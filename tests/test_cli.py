@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -164,3 +165,22 @@ class TestExportLp:
         code, stdout, _ = run(capsys, "export-lp", "--config", str(fixture_dir / "community.json"))
         assert code == EXIT_OK
         assert stdout == out.read_text()
+
+    @pytest.mark.parametrize(
+        "objective, sharing, digest",
+        [
+            ("price", "static", "99601c0f1c41ca28c541d007ef990f9790e886c4d96c28eae68e51d7234498aa"),
+            ("price", "variable", "c15441d3c3bfce1b226e90465487a4ca30b486b39da91897304da0104b6cc175"),
+            ("environment", "static", "79ca101f49a32e5b0bd20ed46b200d984ed50b8d84442784ee35c9af31670c2b"),
+            ("environment", "variable", "5afc6f01aac24c66c0a962605f99d65b2e5ce44eba2561cbc53697c13a6d6557"),
+        ],
+    )
+    def test_pinned_bytes(self, fixture_dir, capsys, objective, sharing, digest):
+        # The export carries the delta binaries and their cap and exclusivity
+        # rows; external solvers read it, so its bytes must not drift.
+        code, stdout, _ = run(
+            capsys, "export-lp", "--config", str(fixture_dir / "community.json"),
+            "--objective", objective, "--sharing", sharing,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest

@@ -9,10 +9,6 @@ from lecopt.model import (
     ALLOC,
     CHI_BUY,
     CHI_SELL,
-    DELTA_BUY,
-    DELTA_CH,
-    DELTA_DIS,
-    DELTA_SELL,
     SIGMA_CH,
     SIGMA_DIS,
     SOC,
@@ -26,6 +22,7 @@ from lecopt.model import (
 )
 from lecopt.solver import solve_milp, verify_solution
 
+from lp_parser import parse_lp
 from util import col, flat_bess, tiny_spec, with_free_allocation
 
 
@@ -46,18 +43,16 @@ class TestDimensions:
             intensity=(0.2,) * T, betas=betas,
         )
         problem = build(spec, Objective.PRICE, AllocationMode.FIXED)
-        assert problem.num_cols == 4 * T * P + 5 * T
-        assert problem.num_rows == 4 * T * P + 4 * T + 1
-        assert len(problem.binaries) == 2 * T * P + 2 * T
+        assert problem.num_cols == 2 * T * P + 3 * T
+        assert problem.num_rows == T * P + T + 1
         assert len(problem.complementary_pairs) == T * P + T
-        assert len(problem.binary_links) == 2 * T * P + 2 * T
 
     def test_optimized_mode_adds_allocation_block(self):
         spec = with_free_allocation(tiny_spec())
         T, P = 2, 2
         problem = build(spec, Objective.PRICE, AllocationMode.OPTIMIZED)
-        assert problem.num_cols == 4 * T * P + 5 * T + T * P
-        assert problem.num_rows == 4 * T * P + 4 * T + 1 + T + 2 * T * P
+        assert problem.num_cols == 2 * T * P + 3 * T + T * P
+        assert problem.num_rows == T * P + T + 1 + T + 2 * T * P
 
 
 class TestRows:
@@ -76,12 +71,10 @@ class TestRows:
 
     def test_big_m_is_contracted_power(self):
         spec = tiny_spec()
-        problem = build(spec, Objective.PRICE)
-        idx = problem.index
-        buycap = dict(_row(problem, "buycap_0_A").coeffs)
-        assert buycap[col(idx, "delta_buy", 0, "A")] == -100.0  # participant import limit
-        chcap = dict(_row(problem, "chcap_0").coeffs)
-        assert chcap[col(idx, "delta_ch", 0)] == -spec.bess.p_ch_max
+        parsed = parse_lp(export_lp_text(build(spec, Objective.PRICE)))
+        rows = {name: coeffs for name, coeffs, _, _ in parsed.rows}
+        assert rows["buycap_0_A"]["delta_buy_0_A"] == -100.0  # participant import limit
+        assert rows["chcap_0"]["delta_ch_0"] == -spec.bess.p_ch_max
 
     def test_soc_dynamics_coefficients(self):
         spec = tiny_spec(bess=flat_bess(eta_ch=0.95, eta_dis=0.95))
@@ -124,45 +117,52 @@ class TestRows:
         assert row.rhs == 0.0
 
 
+def _capped_export(spec, allocation):
+    if allocation is AllocationMode.OPTIMIZED:
+        spec = with_free_allocation(spec)
+    problem = build(dataclasses.replace(spec, compensation_cap_enabled=True), Objective.PRICE, allocation)
+    return problem, parse_lp(export_lp_text(problem))
+
+
 class TestSolverProjection:
-    """The solver drops the binaries and every row on one; those rows must add nothing the bounds lack."""
+    """The export's binaries and every row on one must add nothing to the LP but its complementarity pairs."""
 
     @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
     def test_binary_rows_are_caps_or_exclusions(self, community48, allocation):
-        spec = community48 if allocation is AllocationMode.FIXED else with_free_allocation(community48)
-        problem = build(dataclasses.replace(spec, compensation_cap_enabled=True), Objective.PRICE, allocation)
-        links = set(problem.binary_links)
-        flow_of = dict(problem.binary_links)
-        pairs = {frozenset(pair) for pair in problem.complementary_pairs}
-        caps = exclusions = 0
-        for row in problem.rows:
-            coeffs = dict(row.coeffs)
-            deltas = [c for c in coeffs if c in problem.binaries]
+        problem, parsed = _capped_export(community48, allocation)
+        names = problem.index.names
+        ub = dict(zip(names, problem.ub))
+        pairs = {frozenset((names[a], names[b])) for a, b in problem.complementary_pairs}
+        flow_of: dict[str, str] = {}
+        exclusions = []
+        for name, coeffs, sense, rhs in parsed.rows:
+            deltas = [c for c in coeffs if c in parsed.binaries]
             if not deltas:
                 continue
-            flows = [c for c in coeffs if c not in problem.binaries]
-            assert row.sense == "<=", row.name
+            flows = [c for c in coeffs if c not in parsed.binaries]
+            assert sense == "<=", name
             if flows:
-                # flow - M * delta <= 0 with M the flow's upper bound.
+                # flow - M * delta <= 0 with M the flow's upper bound, delta the flow's own binary.
                 (flow,), (delta,) = flows, deltas
-                assert coeffs == {flow: 1.0, delta: -problem.ub[flow]}, row.name
-                assert row.rhs == 0.0, row.name
-                assert (delta, flow) in links, row.name
-                caps += 1
+                assert coeffs == {flow: 1.0, delta: -ub[flow]} and rhs == 0.0, name
+                assert delta == "delta_" + flow.split("_", 1)[1], name
+                flow_of[delta] = flow
             else:
                 # delta + delta <= 1 over the binaries of one complementarity pair.
-                assert sorted(coeffs.values()) == [1.0, 1.0] and row.rhs == 1.0, row.name
-                assert frozenset(flow_of[d] for d in deltas) in pairs, row.name
-                exclusions += 1
-        assert caps == len(problem.binaries)
-        assert exclusions == len(problem.binaries) // 2
+                assert sorted(coeffs.values()) == [1.0, 1.0] and rhs == 1.0, name
+                exclusions.append((name, deltas))
+        for name, deltas in exclusions:
+            assert frozenset(flow_of[d] for d in deltas) in pairs, name
+        assert len(exclusions) == len(pairs)
 
     @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
     def test_every_binary_is_linked_to_a_flow(self, community48, allocation):
-        spec = community48 if allocation is AllocationMode.FIXED else with_free_allocation(community48)
-        problem = build(spec, Objective.PRICE, allocation)
-        linked = [b for b, _ in problem.binary_links]
-        assert sorted(linked) == sorted(problem.binaries)
+        _, parsed = _capped_export(community48, allocation)
+        capped = [
+            d for _, coeffs, _, _ in parsed.rows if set(coeffs) - parsed.binaries
+            for d in coeffs if d in parsed.binaries
+        ]
+        assert sorted(capped) == sorted(parsed.binaries)  # each binary in exactly one cap
 
 
 class TestObjectives:
@@ -190,8 +190,8 @@ class TestObjectives:
         )
 
     def test_binaries_carry_no_objective_weight(self):
-        problem = build(tiny_spec(), Objective.PRICE)
-        assert all(problem.objective[j] == 0.0 for j in problem.binaries)
+        parsed = parse_lp(export_lp_text(build(tiny_spec(), Objective.PRICE)))
+        assert parsed.binaries and not parsed.binaries & set(parsed.objective)
 
 
 class TestBuildGuards:
@@ -254,7 +254,7 @@ class TestSolutionHelpers:
         opt = build(free_spec, Objective.PRICE, AllocationMode.OPTIMIZED)
         theta = net_generation(fixed, sol.x, spec)
         x = np.zeros(opt.num_cols)
-        for kind in (CHI_BUY, CHI_SELL, DELTA_BUY, DELTA_SELL, SIGMA_CH, SIGMA_DIS, DELTA_CH, DELTA_DIS, SOC):
+        for kind in (CHI_BUY, CHI_SELL, SIGMA_CH, SIGMA_DIS, SOC):
             x[opt.index.block(kind)] = np.asarray(sol.x)[fixed.index.block(kind)]
         for t in range(spec.horizon_hours):
             for pid in spec.participant_ids():

@@ -247,27 +247,29 @@ class TestVerifySolution:
         x[col(problem.index, "soc", 0)] = problem.ub[col(problem.index, "soc", 0)] + 1.0
         assert any(v.kind == "bound" for v in verify_solution(problem, x).violations)
 
-    def test_catches_fractional_binary(self):
+    def test_catches_simultaneous_buy_and_sell(self):
+        # Buying and selling one more kWh each keeps the balance row, so
+        # only the pair itself is violated.
         problem = build(tiny_spec(), Objective.PRICE)
-        sol = solve_milp(problem)
-        x = np.asarray(sol.x).copy()
-        j = sorted(problem.binaries)[0]
-        x[j] = 0.5
-        assert any(v.kind == "integrality" for v in verify_solution(problem, x).violations)
+        x = np.asarray(solve_milp(problem).x).copy()
+        x[col(problem.index, "chi_buy", 0, "A")] += 1.0
+        x[col(problem.index, "chi_sell", 0, "A")] += 1.0
+        assert [v.kind for v in verify_solution(problem, x).violations] == ["complementarity"]
 
     def test_column_violations_in_column_order(self):
-        # Bounds come by column, then integrality; the binary's column lies
-        # between the two bound columns.
+        # Bounds come by column, then complementarity; the pair's columns
+        # lie between the two bound columns.
         problem = build(tiny_spec(), Objective.PRICE)
         x = np.asarray(solve_milp(problem).x).copy()
         x[col(problem.index, "chi_buy", 0, "A")] = -1.0
-        x[col(problem.index, "delta_buy", 0, "A")] = 0.5
+        x[col(problem.index, "chi_buy", 1, "B")] = 2.0
+        x[col(problem.index, "chi_sell", 1, "B")] = 0.5
         x[col(problem.index, "soc", 1)] = 101.0
         report = verify_solution(problem, x)
         assert [str(v) for v in report.violations if v.kind != "row"] == [
             "bound chi_buy_0_A: -1 below lower bound 0",
             "bound soc_1: 101 above upper bound 100",
-            "integrality delta_buy_0_A: value 0.5 not within 1e-06 of an integer",
+            "complementarity chi_buy_1_B/chi_sell_1_B: both 2 and 0.5 exceed 1e-06",
         ]
 
     def test_wrong_length_rejected(self):
