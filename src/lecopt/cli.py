@@ -1,10 +1,10 @@
 """Command-line surface for the community optimizer.
 
 Subcommands: validate, gwp, baseline, optimize, export-lp.
-Exit codes: 0 success, 1 validation failure, 2 solver infeasibility,
-3 I/O or input-format error, 4 internal error (simplex iteration limit or
-a solution the verifier rejects). Output for identical inputs is
-byte-identical.
+Exit codes: 0 success, 1 validation failure (or a window too large for
+the dense solver), 2 solver infeasibility, 3 I/O or input-format error,
+4 internal error (a node, time or simplex iteration limit, or a solution
+the verifier rejects). Output for identical inputs is byte-identical.
 """
 
 from __future__ import annotations

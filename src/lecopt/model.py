@@ -16,7 +16,8 @@ window of a horizon that is not a multiple of the window length is shorter.
 
 The problem is an LP plus complementarity pairs: nobody buys and sells in
 the same hour (buy, sell), and the battery never charges and discharges at
-once (ch, dis). The solver enforces the pairs by branching on them.
+once (ch, dis). The solver closes a pair by a shift where the LP allows it
+and branches on the rest.
 `export_lp_text` writes the equivalent MILP for external solvers: one
 binary per flow of a pair, a big-M cap per flow, and an exclusivity row
 per pair. Each big-M is the flow's upper bound, i.e. exactly the contracted
@@ -127,7 +128,6 @@ class MilpProblem:
     lb: tuple[float, ...]
     ub: tuple[float, ...]
     complementary_pairs: tuple[tuple[int, int], ...]
-    objective_kind: Objective = Objective.PRICE
     allocation_mode: AllocationMode = AllocationMode.FIXED
 
     @property
@@ -225,7 +225,6 @@ def build(
         lb=tuple(b.lb),
         ub=tuple(b.ub),
         complementary_pairs=pairs,
-        objective_kind=objective,
         allocation_mode=allocation,
     )
 

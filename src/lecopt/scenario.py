@@ -158,6 +158,16 @@ def _diagnose_infeasible(problem: MilpProblem) -> str:
     return "LP relaxation feasible: infeasibility arises from buy-sell or charge-discharge exclusivity"
 
 
+def _limit_hit(cfg: SolveConfig, solution: MilpSolution) -> str:
+    """Which limit stopped the search, and what it left: the gap, or no incumbent."""
+    if cfg.node_limit is not None and solution.node_count >= cfg.node_limit:
+        limit = f"node limit {cfg.node_limit}"
+    else:
+        limit = f"time limit {cfg.time_limit:g} s"
+    left = "no incumbent" if solution.x is None else f"gap {solution.gap:.6g}"
+    return f"{limit} reached before proven optimality ({left})"
+
+
 def _settle_window(
     spec: CommunitySpec, problem: MilpProblem, solution: MilpSolution
 ) -> tuple[dict[str, float], dict[str, float], HourlyTraces]:
@@ -274,11 +284,9 @@ def run_scenario(
         problem = build(window, objective, allocation)
         label = label or problem.scenario_label
         solution = solve_milp(problem, cfg)
+        if solution.status is Status.LIMIT_REACHED:
+            raise SolverError(f"window {day}: {_limit_hit(cfg, solution)}")
         if solution.status is not Status.OPTIMAL:
-            if solution.status is Status.LIMIT_REACHED:
-                raise ScenarioInfeasible(
-                    f"window {day}: solver limit reached before proven optimality", f"gap={solution.gap}"
-                )
             raise ScenarioInfeasible(f"window {day}: no feasible schedule", _diagnose_infeasible(problem))
         check = verify_solution(problem, solution.x, feas_tol=cfg.feas_tol)
         if not check.ok:

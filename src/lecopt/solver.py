@@ -4,9 +4,11 @@ A two-phase primal simplex on the bounded-variable form solves the LP; a
 best-first branch-and-bound on the buy/sell and charge/discharge pairs of
 `MilpProblem.complementary_pairs` enforces that at most one member of each
 pair is positive (de Farias, Johnson & Nemhauser, KER 16(1), 2001: no
-auxiliary binaries). A node whose LP point keeps every pair complementary
-closes; otherwise it branches by fixing one member of a violated pair to
-zero. Most windows of this problem family close at the root node.
+auxiliary binaries). Where the LP can give complementarity by itself (the
+pair's columns cancel in every row and their costs sum to >= 0), an
+overlap closes by shifting both members down; only the other pairs branch,
+by fixing one member of a violated pair to zero. Most windows of this
+problem family close at the root node.
 `verify_solution` re-checks every row, bound and pair from the sparse
 problem data.
 
@@ -37,10 +39,14 @@ DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK_FOR_BLAND = 100
 REFRESH_EVERY = 128
+# `_Dense` refuses a problem whose simplex tableau, m x (n + 2m) float64
+# (structural, slack and at most one artificial column per row), exceeds
+# this. A 24 h window needs about 0.5 MB, or 2.8 MB under optimized sharing.
+MAX_TABLEAU_BYTES = 1 << 30
 
 
 class SolverError(RuntimeError):
-    """An internal solver failure: the simplex iteration limit, or a solution the verifier rejects."""
+    """A solve that ended without a verified optimum: a node, time or simplex iteration limit, or a rejected solution."""
 
 
 class Status(enum.Enum):
@@ -102,6 +108,12 @@ class _Dense:
 
     def __init__(self, problem: MilpProblem):
         m, n = problem.num_rows, problem.num_cols
+        size = 8 * m * (n + 2 * m)
+        if size > MAX_TABLEAU_BYTES:
+            raise ValueError(
+                f"problem too large for the dense solver: {m} rows x {n} columns need {size:,} bytes "
+                f"of tableau (limit {MAX_TABLEAU_BYTES:,}); use shorter windows"
+            )
         self.m, self.n = m, n
         self.A = np.zeros((m, n))
         self.rhs = np.zeros(m)
@@ -115,6 +127,20 @@ class _Dense:
         self.lb = np.asarray(problem.lb, dtype=float)
         self.ub = np.asarray(problem.ub, dtype=float)
         self.constant = problem.objective_constant
+
+
+def _implied_pairs(dense: _Dense, pairs: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (a, b) whose overlap the LP can remove by itself.
+
+    A pair is implied when its columns are exact opposites in every row,
+    both lower bounds are 0 and c_a + c_b >= 0: lowering both members by
+    the same amount then keeps every row and bound and never raises the
+    objective (a dominated-column argument; Gamrath et al., Math. Prog.
+    Comp. 7, 2015).
+    """
+    a, b = pairs[:, 0], pairs[:, 1]
+    opposite = np.all(dense.A[:, a] == -dense.A[:, b], axis=0)
+    return opposite & (dense.lb[a] == 0.0) & (dense.lb[b] == 0.0) & (dense.c[a] + dense.c[b] >= 0.0)
 
 
 def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status, np.ndarray | None, int]:
@@ -351,8 +377,11 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
     """Exact best-first branch-and-bound on the complementarity pairs.
 
     Every node solves the LP of `_Dense` under its bounds. A pair of
-    `complementary_pairs` is violated when both members exceed 1e-9. A node
-    without a violated pair closes with its LP point. Otherwise the node
+    `complementary_pairs` is violated when both members exceed 1e-9. The
+    overlap of an implied pair (`_implied_pairs`, computed at the first
+    overlapping node) is removed by subtracting it from both members, and
+    the node objective is recomputed from the shifted point. A node without
+    a violated pair left closes with that point. Otherwise the node
     branches on the pair with the largest smaller member (lowest pair index
     on ties): one child bounds the first member to 0, the next the second.
     Returns LIMIT_REACHED with the incumbent and remaining gap when node or
@@ -365,6 +394,7 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
     total_iters = 0
     node_count = 0
 
+    implied: np.ndarray | None = None  # built at the first overlap; root-closing windows never need it
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf
 
@@ -403,6 +433,16 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
             continue
 
         overlap = np.minimum(x[pairs[:, 0]], x[pairs[:, 1]])
+        if np.any(overlap > 1e-9):
+            if implied is None:
+                implied = _implied_pairs(dense, pairs)
+            # Shift each overlapping implied pair down by its overlap: every
+            # row and bound still holds, and the objective does not rise.
+            shift = np.where(implied, overlap, 0.0)
+            x[pairs[:, 0]] -= shift
+            x[pairs[:, 1]] -= shift
+            node_obj = float(dense.c @ x) + dense.constant
+            overlap = np.minimum(x[pairs[:, 0]], x[pairs[:, 1]])
         if not np.any(overlap > 1e-9):
             incumbent, incumbent_obj = x, node_obj
             continue

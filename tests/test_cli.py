@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import lecopt.cli
 import lecopt.scenario
+import lecopt.solver
 from lecopt.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from lecopt.fixtures import write_fixture_files
 from lecopt.scenario import settlement_from_json
-from lecopt.solver import SolutionViolation, ViolationReport
+from lecopt.solver import SolutionViolation, SolveConfig, ViolationReport
 
 
 def run(capsys, *argv):
@@ -145,6 +147,25 @@ class TestOptimize:
             "internal error: window 0: solver returned an invalid solution: "
             "1 violation(s), first row balance_0_B1: violated by 1\n"
         )
+
+
+    def test_oversized_window_is_validation_error(self, fixture_dir, monkeypatch, capsys):
+        # A 24 h window needs 489,808 bytes of tableau, the 48 h window 1,947,280.
+        monkeypatch.setattr(lecopt.solver, "MAX_TABLEAU_BYTES", 1_000_000)
+        config = str(fixture_dir / "community.json")
+        code, _, err = run(capsys, "optimize", "--config", config, "--window-hours", "48")
+        assert code == EXIT_VALIDATION
+        assert err == (
+            "problem too large for the dense solver: 241 rows x 528 columns need 1,947,280 bytes "
+            "of tableau (limit 1,000,000); use shorter windows\n"
+        )
+        assert run(capsys, "optimize", "--config", config)[0] == EXIT_OK
+
+    def test_hit_limit_is_solver_error(self, fixture_dir, monkeypatch, capsys):
+        monkeypatch.setattr(lecopt.cli, "SolveConfig", lambda feas_tol: SolveConfig(feas_tol=feas_tol, node_limit=0))
+        code, _, err = run(capsys, "optimize", "--config", str(fixture_dir / "community.json"))
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: window 0: node limit 0 reached before proven optimality (no incumbent)\n"
 
 
 class TestExportLp:

@@ -22,7 +22,7 @@ from lecopt.scenario import (
     settlement_to_json,
     trace_csv,
 )
-from lecopt.solver import SolveConfig
+from lecopt.solver import SolveConfig, SolverError
 
 from util import flat_bess, tiny_spec, with_free_allocation
 
@@ -134,6 +134,20 @@ class TestRunScenario:
         spec = tiny_spec(bess=flat_bess(soc_final=80.0, p_ch_max=5.0))
         with pytest.raises(ScenarioInfeasible, match="no feasible schedule"):
             run_scenario(spec, Objective.PRICE)
+
+    def test_node_limit_is_a_solver_error_not_infeasible(self):
+        with pytest.raises(SolverError) as raised:
+            run_scenario(tiny_spec(), Objective.PRICE, solve_config=SolveConfig(node_limit=0))
+        assert str(raised.value) == "window 0: node limit 0 reached before proven optimality (no incumbent)"
+
+    def test_limit_with_incumbent_names_the_gap(self):
+        # Selling above the buy price makes the root buy and sell at once,
+        # a pair that only branching closes.
+        spec = tiny_spec(loads=((0.0, 0.0),), buy=(0.1, 0.1), sell=(0.5, 0.5), pv=(0.0, 0.0), betas=(1.0,),
+                         bess=flat_bess(soc_min=50.0, soc_max=50.0), allow_negative_prices=True)
+        with pytest.raises(SolverError) as raised:
+            run_scenario(spec, Objective.PRICE, solve_config=SolveConfig(node_limit=4))
+        assert str(raised.value) == "window 0: node limit 4 reached before proven optimality (gap 40)"
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="invalid"):

@@ -6,11 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lecopt.domain import HourlySeries, slice_community
 from lecopt.fixtures import synthetic_community
 from lecopt.model import AllocationMode, Objective, build, export_lp_text
-from lecopt.solver import SolveConfig, Status, _simplex, solve_lp, solve_milp, verify_solution
+import lecopt.solver
+from lecopt.solver import SolveConfig, Status, _Dense, _implied_pairs, _simplex, solve_lp, solve_milp, verify_solution
 
 from lp_parser import load_solution_file, parse_lp, solution_vector, solve_with_scipy
 from util import col, flat_bess, tiny_spec, with_free_allocation
@@ -23,6 +25,37 @@ def dense_lp(A, rhs, senses, c, lb, ub):
         senses=list(senses), c=np.asarray(c, dtype=float),
         lb=np.asarray(lb, dtype=float), ub=np.asarray(ub, dtype=float), constant=0.0,
     )
+
+
+def fixture_day(day: int, unit_efficiency: bool = False):
+    spec = slice_community(synthetic_community(48), 24 * day, 24)
+    if unit_efficiency:
+        spec = dataclasses.replace(spec, bess=dataclasses.replace(spec.bess, eta_ch=1.0, eta_dis=1.0))
+    return spec
+
+
+def negative_noon_day(unit_efficiency: bool):
+    """Fixture day 0 with buy price -0.02 and sell price -0.01 EUR/kWh at noon."""
+    day = fixture_day(0, unit_efficiency)
+
+    def at_noon(series, value):
+        values = list(series.values)
+        values[12] = value
+        return HourlySeries(series.timestamps, tuple(values))
+
+    participants = tuple(
+        dataclasses.replace(p, buy_price=at_noon(p.buy_price, -0.02), sell_price=at_noon(p.sell_price, -0.01))
+        for p in day.participants
+    )
+    return dataclasses.replace(day, participants=participants, allow_negative_prices=True)
+
+
+def implied_mask(problem) -> tuple[np.ndarray, np.ndarray]:
+    """(buy/sell, charge/discharge) halves of the solver's implied-pair mask."""
+    pairs = np.array(problem.complementary_pairs).reshape(-1, 2)
+    mask = _implied_pairs(_Dense(problem), pairs)
+    grid = problem.index.block("chi_buy").size
+    return mask[:grid], mask[grid:]
 
 
 class TestSimplex:
@@ -87,8 +120,6 @@ class TestSolveLp:
         ours = solve_lp(problem)
         assert ours.status is Status.OPTIMAL
 
-        from lecopt.solver import _Dense
-
         d = _Dense(problem)
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
         for i, sense in enumerate(d.senses):
@@ -138,6 +169,18 @@ class TestSolveMilp:
         assert sol.status is Status.LIMIT_REACHED
         assert sol.x is None
 
+    def test_oversized_problem_refused_before_densifying(self, monkeypatch):
+        # tiny_spec is 7 rows x 14 columns: 8 * 7 * (14 + 2 * 7) bytes of tableau.
+        monkeypatch.setattr(lecopt.solver, "MAX_TABLEAU_BYTES", 1567)
+        with pytest.raises(ValueError) as raised:
+            solve_milp(build(tiny_spec(), Objective.PRICE))
+        assert str(raised.value) == (
+            "problem too large for the dense solver: 7 rows x 14 columns need 1,568 bytes "
+            "of tableau (limit 1,567); use shorter windows"
+        )
+        monkeypatch.setattr(lecopt.solver, "MAX_TABLEAU_BYTES", 1568)
+        assert solve_milp(build(tiny_spec(), Objective.PRICE)).status is Status.OPTIMAL
+
     def test_branching_closes_pseudo_arbitrage(self):
         # With sell > buy the relaxation buys and sells simultaneously;
         # branch and bound must close that to zero.
@@ -167,28 +210,65 @@ class TestSolveMilp:
         assert verify_solution(problem, sol.x).ok
 
     @pytest.mark.parametrize(
-        "unit_efficiency, counts", [(False, (1584, 9)), (True, (14789, 81))], ids=["fixture-eta", "unit-eta"]
+        "unit_efficiency, counts", [(False, (1584, 9)), (True, (1589, 9))], ids=["fixture-eta", "unit-eta"]
     )
     def test_negative_price_hour_matches_external_solver(self, unit_efficiency, counts):
         # Negative buy and sell prices at one hour make the relaxation buy
         # and sell at once, so branch-and-bound has to close the overlap.
-        day = slice_community(synthetic_community(48), 0, 24)
-
-        def at_noon(series, value):
-            values = list(series.values)
-            values[12] = value
-            return HourlySeries(series.timestamps, tuple(values))
-
-        participants = tuple(
-            dataclasses.replace(p, buy_price=at_noon(p.buy_price, -0.02), sell_price=at_noon(p.sell_price, -0.01))
-            for p in day.participants
-        )
-        bess = dataclasses.replace(day.bess, eta_ch=1.0, eta_dis=1.0) if unit_efficiency else day.bess
-        spec = dataclasses.replace(day, participants=participants, bess=bess, allow_negative_prices=True)
-        problem = build(spec, Objective.PRICE)
+        problem = build(negative_noon_day(unit_efficiency), Objective.PRICE)
         sol = solve_milp(problem, SolveConfig(time_limit=30))
         assert sol.status is Status.OPTIMAL
         assert (sol.iterations, sol.node_count) == counts  # pivots and nodes stay pinned
+        assert verify_solution(problem, sol.x).ok
+        external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
+        assert sol.objective == pytest.approx(external_obj, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "objective, day, counts",
+        [
+            (Objective.PRICE, 0, (228, 1)),
+            (Objective.PRICE, 1, (234, 1)),
+            (Objective.ENVIRONMENT, 0, (181, 1)),
+            (Objective.ENVIRONMENT, 1, (172, 1)),
+        ],
+        ids=["price-day0", "price-day1", "environment-day0", "environment-day1"],
+    )
+    def test_unit_efficiency_day_matches_external_solver(self, objective, day, counts):
+        # At unit efficiency charge and discharge cancel in every row: an
+        # overlap at the root closes by a shift instead of branching.
+        problem = build(fixture_day(day, unit_efficiency=True), objective)
+        sol = solve_milp(problem)
+        assert sol.status is Status.OPTIMAL
+        assert (sol.iterations, sol.node_count) == counts  # pivots and nodes stay pinned
+        assert verify_solution(problem, sol.x).ok
+        external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
+        assert sol.objective == pytest.approx(external_obj, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_tie_specs_match_external_solver(self, data):
+        # Unit efficiency, buy == sell on some hours, zero-PV hours and
+        # export limits just above the surplus an idle battery leaves.
+        T = data.draw(st.integers(2, 6), label="hours")
+        buy, sell, pv = [], [], []
+        for t in range(T):
+            buy.append(data.draw(st.floats(0.05, 0.4), label=f"buy_{t}"))
+            ratio = data.draw(st.sampled_from([1.0, 0.5, 0.0]), label=f"sell_over_buy_{t}")
+            sell.append(buy[t] * ratio)
+            pv.append(data.draw(st.sampled_from([0.0, 3.0, 12.0]), label=f"pv_{t}"))
+        loads = [[data.draw(st.floats(0.0, 8.0), label=f"load_{k}_{t}") for t in range(T)] for k in range(2)]
+        spec = tiny_spec(loads=loads, buy=buy, sell=sell, pv=pv, intensity=(0.3,) * T)
+        participants = []
+        for p, load in zip(spec.participants, loads):
+            beta = spec.sharing.static_coefficients[p.id]
+            surplus = max(max(beta * g - l for g, l in zip(pv, load)), 0.0)
+            limit = surplus + data.draw(st.floats(0.0, 1.0), label=f"slack_{p.id}")
+            participants.append(dataclasses.replace(p, max_export={1: limit}))
+        spec = dataclasses.replace(spec, participants=tuple(participants))
+        objective = data.draw(st.sampled_from(list(Objective)), label="objective")
+        problem = build(spec, objective)
+        sol = solve_milp(problem)
+        assert sol.status is Status.OPTIMAL
         assert verify_solution(problem, sol.x).ok
         external_obj, _ = solve_with_scipy(parse_lp(export_lp_text(problem)))
         assert sol.objective == pytest.approx(external_obj, abs=1e-6)
@@ -228,6 +308,40 @@ class TestSolveMilp:
         sol = solve_milp(problem)
         assert sol.status is Status.OPTIMAL
         assert verify_solution(problem, sol.x).ok
+
+
+class TestImpliedPairs:
+    """Only pairs whose overlap a shift can remove without raising the objective count as implied."""
+
+    def test_fixture_eta_never_shifts_the_battery(self):
+        grid, battery = implied_mask(build(fixture_day(0), Objective.PRICE))
+        assert grid.all()  # buy price >= sell price every fixture hour
+        assert not battery.any()  # eta_ch = 0.9 breaks socdyn_t
+
+    def test_optimized_sharing_never_shifts_the_battery(self):
+        spec = with_free_allocation(fixture_day(0, unit_efficiency=True))
+        grid, battery = implied_mask(build(spec, Objective.PRICE, AllocationMode.OPTIMIZED))
+        assert grid.all()
+        assert not battery.any()  # sharelo/sharehi hold charge and discharge apart
+
+    def test_compensation_cap_breaks_buy_sell_unless_prices_are_equal(self):
+        grid, _ = implied_mask(build(tiny_spec(compensation_cap_enabled=True), Objective.PRICE))
+        assert not grid.any()
+        equal = tiny_spec(sell=(0.3, 0.2), compensation_cap_enabled=True)
+        grid, _ = implied_mask(build(equal, Objective.PRICE))
+        assert grid.all()
+
+    @pytest.mark.parametrize("unit_efficiency", [False, True], ids=["fixture-eta", "unit-eta"])
+    def test_negative_cost_sum_never_shifts(self, unit_efficiency):
+        problem = build(negative_noon_day(unit_efficiency), Objective.PRICE)
+        pairs = np.array(problem.complementary_pairs)
+        c = np.asarray(problem.objective)
+        negative = c[pairs[:, 0]] + c[pairs[:, 1]] < 0
+        grid, battery = implied_mask(problem)
+        mask = np.concatenate([grid, battery])
+        assert negative.sum() == len(problem.index.participant_ids)  # the noon buy/sell pairs
+        assert not (mask & negative).any()
+        assert mask[~negative].all() == unit_efficiency
 
 
 class TestVerifySolution:
