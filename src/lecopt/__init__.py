@@ -19,7 +19,7 @@ from lecopt.domain import (
 from lecopt.gwp import EmissionFactorTable, GenerationMixHour, hourly_intensity, intensity_series
 from lecopt.model import AllocationMode, Objective, build, export_lp_text
 from lecopt.scenario import compare, compute_baseline, run_scenario
-from lecopt.solver import solve_lp, solve_milp, verify_solution
+from lecopt.solver import solve_milp, verify_solution
 
 __all__ = [
     "AllocationMode",
@@ -40,7 +40,6 @@ __all__ = [
     "hourly_intensity",
     "intensity_series",
     "run_scenario",
-    "solve_lp",
     "solve_milp",
     "validate_community",
     "verify_solution",

@@ -1,10 +1,14 @@
 """Command-line surface for the community optimizer.
 
 Subcommands: validate, gwp, baseline, optimize, export-lp.
-Exit codes: 0 success, 1 validation failure (or a window too large for
-the dense solver), 2 solver infeasibility, 3 I/O or input-format error,
-4 internal error (a node, time or simplex iteration limit, or a solution
-the verifier rejects). Output for identical inputs is byte-identical.
+Exit codes: 0 success, 1 usage or validation error (or a window too large
+for the dense solver), 2 solver infeasibility, 3 I/O or input-format
+error, 4 internal error (a node, time or simplex iteration limit, or a
+solution the verifier rejects). Only `validate` checks the community
+itself; the other subcommands leave that to `compute_baseline`,
+`run_scenario` and `build`, which reject an invalid spec. Every solution
+is verified at the solver's fixed tolerance. Output for identical inputs
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from lecopt.domain import validate_community
+from lecopt.domain import CommunitySpec, validate_community
 from lecopt.gwp import EmissionFactorTable, ZeroCoveredGeneration, intensity_series
 from lecopt.ingest import IngestError, RunConfig, load_community, load_factor_overrides, load_mix_csv
 from lecopt.model import AllocationMode, Objective, build, export_lp_text
@@ -48,22 +52,17 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kcal-per-kwh", type=float, default=None, help="battery throughput cost, EUR/kWh")
     sub.add_argument("--compensation-cap", action="store_true", default=None,
                      help="cap compensated surplus value at imported consumption value per billing period")
-    sub.add_argument("--tolerance", type=float, default=1e-6, help="feasibility tolerance of the solution check")
 
 
-def _run_config(args, objectives=("price",), sharing=("static",)) -> RunConfig:
-    return RunConfig(
-        community_config=Path(args.config),
-        objectives=tuple(objectives),
-        sharing_modes=tuple(sharing),
-        out_dir=Path(args.out) if getattr(args, "out", None) else None,
+def _load(args) -> CommunitySpec:
+    run = RunConfig(
         vat_rate=args.vat,
         factors_file=Path(args.factors) if args.factors else None,
         kcal_per_hour=args.kcal_per_hour,
         kcal_per_kwh=args.kcal_per_kwh,
         compensation_cap=args.compensation_cap,
-        tolerance=args.tolerance,
     )
+    return load_community(Path(args.config), run)
 
 
 def _scenario_lists(args) -> tuple[list[str], list[str]]:
@@ -104,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    run = _run_config(args)
-    run.validate()
-    spec = load_community(run.community_config, run)
-    report = validate_community(spec)
+    report = validate_community(_load(args))
     if report.ok:
         print("ok")
         return EXIT_OK
@@ -132,22 +128,8 @@ def _cmd_gwp(args) -> int:
     return EXIT_OK
 
 
-def _require_valid(spec) -> None:
-    report = validate_community(spec)
-    if not report.ok:
-        raise _ValidationFailure(str(report))
-
-
-class _ValidationFailure(Exception):
-    pass
-
-
 def _cmd_baseline(args) -> int:
-    run = _run_config(args)
-    run.validate()
-    spec = load_community(run.community_config, run)
-    _require_valid(spec)
-    baseline = compute_baseline(spec)
+    baseline = compute_baseline(_load(args))
     text = baseline_csv(baseline)
     if args.out:
         out_dir = Path(args.out)
@@ -159,17 +141,14 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_optimize(args) -> int:
     objectives, sharing = _scenario_lists(args)
-    run = _run_config(args, objectives, sharing)
-    run.validate()
-    spec = load_community(run.community_config, run)
-    _require_valid(spec)
+    spec = _load(args)
     baseline = compute_baseline(spec)
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "baseline.csv").write_text(baseline_csv(baseline), encoding="utf-8")
-    cfg = SolveConfig(feas_tol=run.tolerance)
+    cfg = SolveConfig()
     for obj_name in objectives:
         for share_name in sharing:
             report = run_scenario(
@@ -190,11 +169,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    run = _run_config(args, [args.objective], [args.sharing])
-    run.validate()
-    spec = load_community(run.community_config, run)
-    _require_valid(spec)
-    text = export_lp_text(build(spec, _OBJECTIVES[args.objective], _SHARING[args.sharing]))
+    text = export_lp_text(build(_load(args), _OBJECTIVES[args.objective], _SHARING[args.sharing]))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -212,19 +187,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:  # --help
+            raise
+        return EXIT_VALIDATION  # argparse's own code, 2, means infeasible here
     try:
         return _COMMANDS[args.command](args)
-    except _ValidationFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
     except (IngestError, ZeroCoveredGeneration, OSError) as exc:
         # Before ValueError: ZeroCoveredGeneration subclasses it.
         print(exc, file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # Model builders reject invalid specs with ValueError.
+        # compute_baseline, run_scenario and build reject an invalid spec with ValueError.
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except ScenarioInfeasible as exc:

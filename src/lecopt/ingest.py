@@ -57,6 +57,8 @@ def _read_rows(path) -> tuple[list[str], list[dict[str, str]]]:
             if reader.fieldnames is None:
                 raise GapInSeries(path, "file is empty")
             rows = list(reader)
+    except FileNotFoundError:
+        raise IngestError(f"input file does not exist: {path}") from None
     except OSError as exc:
         raise IngestError(f"{path}: {exc}") from exc
     if not rows:
@@ -135,31 +137,13 @@ def load_factor_overrides(path) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One optimization run: community config plus scenario selection and overrides."""
+    """Command-line overrides of a community config; None keeps the config's own value."""
 
-    community_config: Path
-    objectives: tuple[str, ...] = ("price",)
-    sharing_modes: tuple[str, ...] = ("static",)
-    out_dir: Path | None = None
     vat_rate: float | None = None
     factors_file: Path | None = None
     kcal_per_hour: float | None = None
     kcal_per_kwh: float | None = None
     compensation_cap: bool | None = None
-    tolerance: float = 1e-6
-
-    def validate(self) -> None:
-        if not self.objectives or not self.sharing_modes:
-            raise IngestError("scenario selection is empty")
-        for obj in self.objectives:
-            if obj not in ("price", "environment"):
-                raise IngestError(f"unknown objective {obj!r}")
-        for mode in self.sharing_modes:
-            if mode not in ("static", "variable"):
-                raise IngestError(f"unknown sharing mode {mode!r}")
-        for p in (self.community_config, self.factors_file):
-            if p is not None and not Path(p).exists():
-                raise IngestError(f"input file does not exist: {p}")
 
 
 def _scale(series: HourlySeries, factor: float) -> HourlySeries:
@@ -190,15 +174,18 @@ def load_community(
     battery degradation cost, compensation cap).
     """
     config_path = Path(config_path)
+    run = run or RunConfig()
     try:
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise IngestError(f"input file does not exist: {config_path}") from None
     except OSError as exc:
         raise IngestError(f"{config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"{config_path}: invalid JSON: {exc}") from exc
     base = config_path.parent
 
-    vat = run.vat_rate if run is not None and run.vat_rate is not None else float(cfg.get("vat_rate", 0.0))
+    vat = run.vat_rate if run.vat_rate is not None else float(cfg.get("vat_rate", 0.0))
     tax_inclusive = bool(cfg.get("prices_are_tax_inclusive", False))
     buy_factor = 1.0 if tax_inclusive else 1.0 + vat
 
@@ -235,14 +222,10 @@ def load_community(
             soc_initial=float(bc["soc_initial"]),
             soc_final=float(bc["soc_final"]),
             calendar_cost_per_hour=(
-                run.kcal_per_hour
-                if run is not None and run.kcal_per_hour is not None
-                else float(bc.get("calendar_cost_per_hour", 0.0))
+                run.kcal_per_hour if run.kcal_per_hour is not None else float(bc.get("calendar_cost_per_hour", 0.0))
             ),
             throughput_cost_per_kwh=(
-                run.kcal_per_kwh
-                if run is not None and run.kcal_per_kwh is not None
-                else float(bc.get("throughput_cost_per_kwh", 0.0))
+                run.kcal_per_kwh if run.kcal_per_kwh is not None else float(bc.get("throughput_cost_per_kwh", 0.0))
             ),
             emission_factor_discharge=float(bc.get("emission_factor_discharge", 0.060)),
         )
@@ -275,7 +258,7 @@ def load_community(
     gi = cfg.get("grid_intensity", {})
     factors = EmissionFactorTable()
     overrides: dict[str, float] = dict(cfg.get("emission_factor_overrides", {}))
-    if run is not None and run.factors_file is not None:
+    if run.factors_file is not None:
         overrides.update(load_factor_overrides(run.factors_file))
     if overrides:
         factors = EmissionFactorTable.with_overrides(overrides)
@@ -286,9 +269,7 @@ def load_community(
         intensity = _series_ref(cfg, "grid_intensity", base)
 
     cap = (
-        run.compensation_cap
-        if run is not None and run.compensation_cap is not None
-        else bool(cfg.get("compensation_cap_enabled", False))
+        run.compensation_cap if run.compensation_cap is not None else bool(cfg.get("compensation_cap_enabled", False))
     )
     horizon = int(cfg.get("horizon_hours", len(participants[0].load)))
     return CommunitySpec(

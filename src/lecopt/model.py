@@ -342,39 +342,26 @@ def net_generation(problem: MilpProblem, x: Sequence[float], spec: CommunitySpec
     return spec.pv.generation.as_array() + xs[index.block(SIGMA_DIS)] - xs[index.block(SIGMA_CH)]
 
 
-def participant_allocation(
-    problem: MilpProblem, x: Sequence[float], spec: CommunitySpec
-) -> dict[str, np.ndarray]:
-    """Per-participant hourly net-generation allocation, kWh.
-
-    In fixed mode this is beta * theta (a reporting identity); in optimized
-    mode the allocation variables themselves.
-    """
-    index = problem.index
-    if problem.allocation_mode is AllocationMode.FIXED:
-        theta = net_generation(problem, x, spec)
-        hours = range(index.horizon)
-        return {p.id: np.array([spec.sharing.coefficient(p.id, t) for t in hours]) * theta for p in spec.participants}
-    alloc = np.asarray(x, dtype=float)[index.block(ALLOC)].T.copy()  # one contiguous row per participant
-    return {p.id: row for p, row in zip(spec.participants, alloc)}
-
-
 def effective_coefficients(
     problem: MilpProblem, x: Sequence[float], spec: CommunitySpec, zero_tol: float = 1e-9
 ) -> dict[str, np.ndarray]:
     """Hourly sharing coefficients realized by a solution.
 
-    In optimized mode beta = alloc / theta where theta is nonzero; hours with
-    theta == 0 fall back to the static coefficients (uniform when absent).
+    In fixed mode these are the data, static or hourly. In optimized mode
+    beta = alloc / theta where theta is nonzero; hours with theta == 0 fall
+    back to the static coefficients (uniform when absent).
     """
-    theta = net_generation(problem, x, spec)
-    alloc = participant_allocation(problem, x, spec)
     ids = spec.participant_ids()
+    if problem.allocation_mode is AllocationMode.FIXED:
+        hours = range(problem.index.horizon)
+        return {pid: np.array([spec.sharing.coefficient(pid, t) for t in hours]) for pid in ids}
+    theta = net_generation(problem, x, spec)
+    alloc = np.asarray(x, dtype=float)[problem.index.block(ALLOC)].T.copy()  # one contiguous row per participant
     nonzero = np.abs(theta) > zero_tol
     out: dict[str, np.ndarray] = {}
-    for pid in ids:
+    for pid, row in zip(ids, alloc):
         betas = np.full(theta.size, float(spec.sharing.static_coefficients.get(pid, 1.0 / len(ids))))
-        np.divide(alloc[pid], theta, out=betas, where=nonzero)
+        np.divide(row, theta, out=betas, where=nonzero)
         out[pid] = betas
     return out
 

@@ -31,7 +31,7 @@ from lecopt.model import (
     effective_coefficients,
     net_generation,
 )
-from lecopt.solver import MilpSolution, SolveConfig, SolverError, Status, solve_lp, solve_milp, verify_solution
+from lecopt.solver import MilpSolution, SolveConfig, SolverError, Status, solve_milp, verify_solution
 
 KG_PER_TONNE = 1000.0
 
@@ -151,9 +151,10 @@ def compute_baseline(spec: CommunitySpec) -> BaselineResult:
     return BaselineResult(costs, emissions)
 
 
-def _diagnose_infeasible(problem: MilpProblem) -> str:
-    relax = solve_lp(problem)
-    if relax.status is Status.INFEASIBLE:
+def _diagnose_infeasible(solution: MilpSolution) -> str:
+    # The root node is the LP relaxation; a search that ends there without a
+    # schedule found the relaxation infeasible.
+    if solution.node_count == 1:
         return "LP relaxation infeasible: balance/capacity/SOC constraints admit no schedule"
     return "LP relaxation feasible: infeasibility arises from buy-sell or charge-discharge exclusivity"
 
@@ -287,8 +288,8 @@ def run_scenario(
         if solution.status is Status.LIMIT_REACHED:
             raise SolverError(f"window {day}: {_limit_hit(cfg, solution)}")
         if solution.status is not Status.OPTIMAL:
-            raise ScenarioInfeasible(f"window {day}: no feasible schedule", _diagnose_infeasible(problem))
-        check = verify_solution(problem, solution.x, feas_tol=cfg.feas_tol)
+            raise ScenarioInfeasible(f"window {day}: no feasible schedule", _diagnose_infeasible(solution))
+        check = verify_solution(problem, solution.x)
         if not check.ok:
             first = check.violations[0]
             raise SolverError(

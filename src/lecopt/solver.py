@@ -8,7 +8,8 @@ auxiliary binaries). Where the LP can give complementarity by itself (the
 pair's columns cancel in every row and their costs sum to >= 0), an
 overlap closes by shifting both members down; only the other pairs branch,
 by fixing one member of a violated pair to zero. Most windows of this
-problem family close at the root node.
+problem family close at the root node, whose LP is the relaxation; there
+is no separate LP entry point.
 `verify_solution` re-checks every row, bound and pair from the sparse
 problem data.
 
@@ -46,22 +47,13 @@ MAX_TABLEAU_BYTES = 1 << 30
 
 
 class SolverError(RuntimeError):
-    """A solve that ended without a verified optimum: a node, time or simplex iteration limit, or a rejected solution."""
+    """A solve that ended without a verified optimum: a node, time or simplex iteration limit, an unbounded ray, or a rejected solution."""
 
 
 class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     LIMIT_REACHED = "limit_reached"
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: Status
-    x: tuple[float, ...] | None
-    objective: float | None
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class MilpSolution:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    feas_tol: float = FEAS_TOL
     node_limit: int | None = None
     time_limit: float | None = None
 
@@ -146,8 +137,10 @@ def _implied_pairs(dense: _Dense, pairs: np.ndarray) -> np.ndarray:
 def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status, np.ndarray | None, int]:
     """Two-phase bounded-variable primal simplex.
 
-    Returns (status, structural solution, iteration count). `lb_n`/`ub_n`
-    are the node bounds for structural columns.
+    Returns (status, structural solution, iteration count): OPTIMAL or
+    INFEASIBLE. `lb_n`/`ub_n` are the node bounds for structural columns.
+    Validation gives every column of `build`'s LP finite bounds, so an
+    unbounded ray is a fault and raises SolverError.
     """
     m, n = dense.m, dense.n
     # Extended columns: structural | one slack per row | artificials appended on demand.
@@ -215,7 +208,7 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
 
     iterations = 0
 
-    def run_phase(c_phase: np.ndarray, frozen: np.ndarray) -> Status:
+    def run_phase(c_phase: np.ndarray, frozen: np.ndarray) -> None:
         nonlocal iterations, T, xB
         d = c_phase - c_phase[basis] @ T
         # Bounds and frozen columns hold for the whole phase. A nonbasic
@@ -239,7 +232,7 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
             improving = ((d < -DUAL_TOL) & (at_lb | ~at_ub)) | ((d > DUAL_TOL) & ~at_lb)
             candidates = np.flatnonzero(improving & movable & ~in_basis)
             if candidates.size == 0:
-                return Status.OPTIMAL
+                return
             # Bland: the lowest index; Dantzig: the largest |d|, lowest index on ties.
             j = int(candidates[0] if bland else candidates[np.argmax(np.abs(d[candidates]))])
             sign = 1.0 if d[j] < 0 else -1.0
@@ -258,7 +251,7 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
             t_row = limits.min() if m else math.inf
             t_step = min(t_row, own)
             if not np.isfinite(t_step):
-                return Status.UNBOUNDED
+                raise SolverError("simplex found an unbounded ray: some column lacks a finite bound")
             degenerate_streak = degenerate_streak + 1 if t_step <= 1e-12 else 0
 
             if own <= t_row:
@@ -299,10 +292,9 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
     if n_art:
         c1 = np.zeros(N_tot)
         c1[N:] = 1.0
-        status = run_phase(c1, frozen)
+        run_phase(c1, frozen)
         x[basis] = xB
-        infeas = float(x[N:].sum()) if n_art else 0.0
-        if status is not Status.OPTIMAL or infeas > 1e-7:
+        if float(x[N:].sum()) > 1e-7:
             return Status.INFEASIBLE, None, iterations
         # Artificials are pinned at zero for phase 2.
         lb[N:] = 0.0
@@ -312,25 +304,13 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
 
     c2 = np.zeros(N_tot)
     c2[:n] = dense.c
-    status = run_phase(c2, frozen)
-    if status is Status.UNBOUNDED:
-        return Status.UNBOUNDED, None, iterations
+    run_phase(c2, frozen)
     x[basis] = xB
     if n_art and float(np.abs(x[N:]).sum()) > 1e-7:
         return Status.INFEASIBLE, None, iterations
     sol = x[:n].copy()
     np.clip(sol, lb_n, ub_n, out=sol)
     return Status.OPTIMAL, sol, iterations
-
-
-def solve_lp(problem: MilpProblem) -> LpSolution:
-    """Solve the LP with the complementarity pairs relaxed."""
-    dense = _Dense(problem)
-    status, x, iters = _simplex(dense, dense.lb.copy(), dense.ub.copy())
-    if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, iters)
-    obj = float(dense.c @ x) + dense.constant
-    return LpSolution(Status.OPTIMAL, tuple(x), obj, iters)
 
 
 def verify_solution(problem: MilpProblem, x, feas_tol: float = FEAS_TOL) -> ViolationReport:
@@ -422,8 +402,6 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
 
         status, x, iters = _simplex(dense, dense.lb.copy(), ub)
         total_iters += iters
-        if status is Status.UNBOUNDED:
-            return MilpSolution(Status.UNBOUNDED, None, None, total_iters, node_count, None)
         if status is not Status.OPTIMAL:
             continue
         node_obj = float(dense.c @ x) + dense.constant

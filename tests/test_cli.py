@@ -41,6 +41,50 @@ class TestValidate:
         assert code == EXIT_IO
         assert "does not exist" in err
 
+    def test_missing_factors_is_io_error(self, fixture_dir, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        code, _, err = run(capsys, "validate", "--config", str(fixture_dir / "community.json"), "--factors", str(absent))
+        assert code == EXIT_IO
+        assert err == f"input file does not exist: {absent}\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--objective", "speed"),
+            ("optimize", "--sharing", "psychic"),
+            ("optimize", "--window-hours", "abc"),
+            *((command, "--tolerance", "1e-6") for command in ("validate", "baseline", "optimize", "export-lp")),
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_is_validation_error(self, fixture_dir, capsys, argv):
+        # argparse's own exit code, 2, would read as an infeasible schedule.
+        code, out, err = run(capsys, argv[0], "--config", str(fixture_dir / "community.json"), *argv[1:])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["optimize", "--help"])
+        assert raised.value.code == 0
+        assert "--window-hours" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["baseline", "optimize", "export-lp"])
+    def test_invalid_community_is_validation_error(self, tmp_path, capsys, command):
+        # The spec's consumer rejects it; the CLI runs no check of its own.
+        config = write_fixture_files(tmp_path, hours=48)
+        cfg = json.loads(config.read_text())
+        cfg["sharing"]["coefficients"]["B1"] = 0.9  # sum now > 1
+        config.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("community spec invalid:\n")
+        assert "sum" in err
+
 
 class TestGwp:
     def test_stdout_csv(self, fixture_dir, capsys):
@@ -136,7 +180,7 @@ class TestOptimize:
         assert err == "window_hours must be at least 1, got 0\n"
 
     def test_rejected_solution_is_internal_error(self, fixture_dir, monkeypatch, capsys):
-        def reject(problem, x, feas_tol):
+        def reject(problem, x):
             return ViolationReport((SolutionViolation("row", "balance_0_B1", "violated by 1"),))
 
         monkeypatch.setattr(lecopt.scenario, "verify_solution", reject)
@@ -162,7 +206,7 @@ class TestOptimize:
         assert run(capsys, "optimize", "--config", config)[0] == EXIT_OK
 
     def test_hit_limit_is_solver_error(self, fixture_dir, monkeypatch, capsys):
-        monkeypatch.setattr(lecopt.cli, "SolveConfig", lambda feas_tol: SolveConfig(feas_tol=feas_tol, node_limit=0))
+        monkeypatch.setattr(lecopt.cli, "SolveConfig", lambda: SolveConfig(node_limit=0))
         code, _, err = run(capsys, "optimize", "--config", str(fixture_dir / "community.json"))
         assert code == EXIT_INTERNAL
         assert err == "internal error: window 0: node limit 0 reached before proven optimality (no incumbent)\n"

@@ -98,23 +98,6 @@ class TestFactorOverrides:
             load_factor_overrides(write(tmp_path / "f.csv", "name,value\nwind,0.03\n"))
 
 
-class TestRunConfig:
-    def test_unknown_objective_rejected(self, fixture_dir):
-        cfg = RunConfig(fixture_dir / "community.json", objectives=("speed",))
-        with pytest.raises(IngestError, match="unknown objective"):
-            cfg.validate()
-
-    def test_unknown_sharing_rejected(self, fixture_dir):
-        cfg = RunConfig(fixture_dir / "community.json", sharing_modes=("psychic",))
-        with pytest.raises(IngestError, match="unknown sharing"):
-            cfg.validate()
-
-    def test_missing_config_rejected(self, tmp_path):
-        cfg = RunConfig(tmp_path / "absent.json")
-        with pytest.raises(IngestError, match="does not exist"):
-            cfg.validate()
-
-
 class TestLoadCommunity:
     def test_round_trips_the_fixture(self, fixture_dir):
         spec = load_community(fixture_dir / "community.json", None)
@@ -140,7 +123,7 @@ class TestLoadCommunity:
         assert spec.participants[0].sell_price.values == sell.values
 
     def test_vat_override(self, fixture_dir):
-        run = RunConfig(fixture_dir / "community.json", vat_rate=0.0)
+        run = RunConfig(vat_rate=0.0)
         spec = load_community(fixture_dir / "community.json", run)
         raw = load_series_csv(fixture_dir / "prices.csv", "buy")
         assert spec.participants[0].buy_price.values == raw.values
@@ -171,7 +154,7 @@ class TestLoadCommunity:
         assert all(v > 0 for v in spec.grid_intensity.values)
 
     def test_kcal_override(self, fixture_dir):
-        run = RunConfig(fixture_dir / "community.json", kcal_per_hour=0.5)
+        run = RunConfig(kcal_per_hour=0.5)
         spec = load_community(fixture_dir / "community.json", run)
         assert spec.bess.calendar_cost_per_hour == 0.5
 

@@ -18,7 +18,6 @@ from lecopt.model import (
     effective_coefficients,
     export_lp_text,
     net_generation,
-    participant_allocation,
 )
 from lecopt.solver import solve_milp, verify_solution
 
@@ -234,14 +233,19 @@ class TestExport:
 
 class TestSolutionHelpers:
     def test_net_generation_and_allocation_identity(self):
-        spec = tiny_spec()
-        problem = build(spec, Objective.PRICE)
-        sol = solve_milp(problem)
-        theta = net_generation(problem, sol.x, spec)
-        alloc = participant_allocation(problem, sol.x, spec)
-        np.testing.assert_allclose(alloc["A"] + alloc["B"], theta, atol=1e-9)
-        betas = effective_coefficients(problem, sol.x, spec)
+        # Optimized mode: the allocations partition theta and the realized
+        # coefficients sum to 1. Fixed mode: the coefficients are the data.
+        spec = with_free_allocation(tiny_spec())
+        problem = build(spec, Objective.PRICE, AllocationMode.OPTIMIZED)
+        x = np.asarray(solve_milp(problem).x)
+        theta = net_generation(problem, x, spec)
+        np.testing.assert_allclose(x[problem.index.block(ALLOC)].sum(axis=1), theta, atol=1e-9)
+        betas = effective_coefficients(problem, x, spec)
         np.testing.assert_allclose(betas["A"] + betas["B"], 1.0, atol=1e-9)
+
+        fixed = build(tiny_spec(), Objective.PRICE)
+        betas = effective_coefficients(fixed, solve_milp(fixed).x, tiny_spec())
+        assert {pid: b.tolist() for pid, b in betas.items()} == {"A": [0.6, 0.6], "B": [0.4, 0.4]}
 
     def test_fixed_solution_is_feasible_for_pinned_optimized_model(self):
         # A fixed-coefficient schedule, re-expressed with alloc = beta * theta,

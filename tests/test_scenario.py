@@ -6,8 +6,8 @@ from array import array
 import numpy as np
 import pytest
 
-import lecopt.scenario
-from lecopt.domain import HourlySeries, PvSpec
+import lecopt.solver
+from lecopt.domain import HourlySeries, PvSpec, SharingMode, SharingScheme
 from lecopt.model import AllocationMode, Objective
 from lecopt.scenario import (
     BaselineResult,
@@ -130,10 +130,47 @@ class TestRunScenario:
             (Objective.ENVIRONMENT, AllocationMode.OPTIMIZED): (843, 2),
         }
 
-    def test_infeasible_scenario_diagnosed(self):
+    def test_infeasible_scenario_diagnosed(self, monkeypatch):
+        # soc_final is out of reach, so the root LP fails. The diagnosis reads
+        # that from the search: one simplex solve in all.
+        calls = []
+        real = lecopt.solver._simplex
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lecopt.solver, "_simplex", spy)
         spec = tiny_spec(bess=flat_bess(soc_final=80.0, p_ch_max=5.0))
-        with pytest.raises(ScenarioInfeasible, match="no feasible schedule"):
+        with pytest.raises(ScenarioInfeasible) as raised:
             run_scenario(spec, Objective.PRICE)
+        assert str(raised.value) == (
+            "window 0: no feasible schedule "
+            "(LP relaxation infeasible: balance/capacity/SOC constraints admit no schedule)"
+        )
+        assert len(calls) == 1
+
+    def test_infeasible_after_branching_diagnosed(self):
+        # The sunny hour's surplus is worth more than the imports the cap
+        # allows; the root LP hides that by buying and selling at once.
+        spec = tiny_spec(pv=(30.0, 0.0), compensation_cap_enabled=True)
+        with pytest.raises(ScenarioInfeasible) as raised:
+            run_scenario(spec, Objective.PRICE)
+        assert str(raised.value) == (
+            "window 0: no feasible schedule "
+            "(LP relaxation feasible: infeasibility arises from buy-sell or charge-discharge exclusivity)"
+        )
+
+    def test_fixed_hourly_coefficients_split_battery_cost(self):
+        # Without PV or battery use theta is 0 every hour; the hourly
+        # coefficients, not a fallback, still split the calendar cost.
+        spec = tiny_spec(pv=(0.0, 0.0), bess=flat_bess(calendar_cost_per_hour=1.0, soc_min=50.0, soc_max=50.0))
+        hourly = {"A": HourlySeries.from_values((0.9, 0.9)), "B": HourlySeries.from_values((0.1, 0.1))}
+        spec = dataclasses.replace(spec, sharing=SharingScheme(SharingMode.HOURLY_VARIABLE, variable_coefficients=hourly))
+        report = run_scenario(spec, Objective.PRICE)
+        # Loads bought at 0.3 then 0.2 EUR/kWh, plus 2 h x 1 EUR/h split 0.9 / 0.1.
+        assert report.costs_eur["A"] == pytest.approx(4 * 0.3 + 6 * 0.2 + 1.8, abs=1e-12)
+        assert report.costs_eur["B"] == pytest.approx(2 * 0.3 + 2 * 0.2 + 0.2, abs=1e-12)
 
     def test_node_limit_is_a_solver_error_not_infeasible(self):
         with pytest.raises(SolverError) as raised:
@@ -152,19 +189,6 @@ class TestRunScenario:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             run_scenario(tiny_spec(betas=(0.5, 0.6)), Objective.PRICE)
-
-    @pytest.mark.parametrize("config, expected", [(None, 1e-6), (SolveConfig(feas_tol=1e-4), 1e-4)])
-    def test_verifier_gets_feasibility_tolerance(self, monkeypatch, config, expected):
-        seen = []
-        real = lecopt.scenario.verify_solution
-
-        def spy(problem, x, feas_tol):
-            seen.append(feas_tol)
-            return real(problem, x, feas_tol=feas_tol)
-
-        monkeypatch.setattr(lecopt.scenario, "verify_solution", spy)
-        run_scenario(tiny_spec(), Objective.PRICE, solve_config=config)
-        assert seen == [expected]
 
 
 class TestWindows:

@@ -12,7 +12,7 @@ from lecopt.domain import HourlySeries, slice_community
 from lecopt.fixtures import synthetic_community
 from lecopt.model import AllocationMode, Objective, build, export_lp_text
 import lecopt.solver
-from lecopt.solver import SolveConfig, Status, _Dense, _implied_pairs, _simplex, solve_lp, solve_milp, verify_solution
+from lecopt.solver import SolveConfig, SolverError, Status, _Dense, _implied_pairs, _simplex, solve_milp, verify_solution
 
 from lp_parser import load_solution_file, parse_lp, solution_vector, solve_with_scipy
 from util import col, flat_bess, tiny_spec, with_free_allocation
@@ -50,6 +50,14 @@ def negative_noon_day(unit_efficiency: bool):
     return dataclasses.replace(day, participants=participants, allow_negative_prices=True)
 
 
+def relaxation_objective(problem) -> float:
+    """Optimum of the problem's LP with the complementarity pairs relaxed (the root node)."""
+    d = _Dense(problem)
+    status, x, _ = _simplex(d, d.lb.copy(), d.ub.copy())
+    assert status is Status.OPTIMAL
+    return float(d.c @ x) + d.constant
+
+
 def implied_mask(problem) -> tuple[np.ndarray, np.ndarray]:
     """(buy/sell, charge/discharge) halves of the solver's implied-pair mask."""
     pairs = np.array(problem.complementary_pairs).reshape(-1, 2)
@@ -78,9 +86,10 @@ class TestSimplex:
         assert x is None
 
     def test_unbounded(self):
+        # Validation bounds every column of `build`'s LP, so a ray is a fault.
         d = dense_lp([[1.0]], [0.0], [">="], [-1.0], [0.0], [math.inf])
-        status, _, _ = _simplex(d, d.lb, d.ub)
-        assert status is Status.UNBOUNDED
+        with pytest.raises(SolverError, match="unbounded ray"):
+            _simplex(d, d.lb, d.ub)
 
     def test_negative_equality_rhs(self):
         # Regression: equality rows with negative residual at the slack start
@@ -117,8 +126,7 @@ class TestSolveLp:
         from scipy.optimize import linprog
 
         problem = build(tiny_spec(), Objective.PRICE)
-        ours = solve_lp(problem)
-        assert ours.status is Status.OPTIMAL
+        ours = relaxation_objective(problem)
 
         d = _Dense(problem)
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
@@ -134,13 +142,12 @@ class TestSolveLp:
             A_eq=np.array(A_eq).reshape(-1, d.n), b_eq=np.array(b_eq),
             bounds=list(zip(d.lb, d.ub)), method="highs",
         )
-        assert ours.objective == pytest.approx(res.fun + d.constant, abs=1e-8)
+        assert ours == pytest.approx(res.fun + d.constant, abs=1e-8)
 
     def test_relaxation_bounds_milp(self):
         problem = build(tiny_spec(), Objective.PRICE)
-        relax = solve_lp(problem)
         milp = solve_milp(problem)
-        assert relax.objective <= milp.objective + 1e-9
+        assert relaxation_objective(problem) <= milp.objective + 1e-9
 
 
 class TestSolveMilp:
@@ -195,10 +202,9 @@ class TestSolveMilp:
             allow_negative_prices=True,
         )
         problem = build(spec, Objective.PRICE)
-        relax = solve_lp(problem)
         sol = solve_milp(problem)
         assert sol.status is Status.OPTIMAL
-        assert relax.objective < sol.objective - 1e-6  # relaxation really was optimistic
+        assert relaxation_objective(problem) < sol.objective - 1e-6  # relaxation really was optimistic
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.node_count > 1
         assert verify_solution(problem, sol.x).ok
