@@ -225,11 +225,18 @@ class ValidationReport:
 COEFFICIENT_SUM_TOL = 1e-9
 
 
-def _check_series(out: list[Violation], path: str, series: HourlySeries, spec: CommunitySpec, reference: HourlySeries | None) -> None:
+def _check_series(out: list[Violation], path: str, series: HourlySeries, spec: CommunitySpec,
+                  reference: HourlySeries | None, negative: str | None = None) -> None:
+    """Length and alignment with the horizon, finite values, and none below 0 when `negative` names that violation."""
     if len(series) != spec.horizon_hours:
         out.append(Violation(path, f"length {len(series)} != horizon {spec.horizon_hours}"))
     elif reference is not None and not series.aligned_with(reference):
         out.append(Violation(path, "timestamps not aligned with the community horizon"))
+    if not all(map(math.isfinite, series.values)):
+        hour = next(t for t, v in enumerate(series.values) if not math.isfinite(v))
+        out.append(Violation(path, f"non-finite value at hour {hour}"))
+    if negative is not None and any(v < 0 for v in series.values):
+        out.append(Violation(path, negative))
 
 
 def validate_community(spec: CommunitySpec) -> ValidationReport:
@@ -254,11 +261,9 @@ def validate_community(spec: CommunitySpec) -> ValidationReport:
 
     for p in spec.participants:
         base = f"participants[{p.id}]"
-        _check_series(out, f"{base}.load", p.load, spec, reference)
+        _check_series(out, f"{base}.load", p.load, spec, reference, "negative load")
         _check_series(out, f"{base}.buy_price", p.buy_price, spec, reference)
         _check_series(out, f"{base}.sell_price", p.sell_price, spec, reference)
-        if any(v < 0 for v in p.load.values):
-            out.append(Violation(f"{base}.load", "negative load"))
         if not spec.allow_negative_prices:
             if any(v < 0 for v in p.sell_price.values):
                 out.append(Violation(f"{base}.sell_price", "negative sell price"))
@@ -300,25 +305,21 @@ def validate_community(spec: CommunitySpec) -> ValidationReport:
         out.append(Violation("bess.soc_final", f"final SOC above soc_max ({b.soc_final} > {b.soc_max})"))
     if b.soc_final < b.soc_min:
         out.append(Violation("bess.soc_final", f"final SOC below soc_min ({b.soc_final} < {b.soc_min})"))
-    if b.calendar_cost_per_hour < 0:
-        out.append(Violation("bess.calendar_cost_per_hour", "negative degradation cost"))
-    if b.emission_factor_discharge < 0:
-        out.append(Violation("bess.emission_factor_discharge", "negative emission factor"))
+    # A comparison with NaN is false, so the SOC checks above let it pass:
+    # each SOC level must also be finite, each cost, factor and rate finite and >= 0.
+    levels = {f"bess.{name}": getattr(b, name) for name in ("soc_max", "soc_min", "soc_initial", "soc_final")}
+    costs = {f"bess.{name}": getattr(b, name) for name in ("calendar_cost_per_hour", "throughput_cost_per_kwh", "emission_factor_discharge")}
+    costs.update({"pv.emission_factor": spec.pv.emission_factor, "vat_rate": spec.vat_rate})
+    for path, value in {**levels, **costs}.items():
+        if not math.isfinite(value):
+            out.append(Violation(path, f"must be finite, got {value}"))
+        elif path in costs and value < 0:
+            out.append(Violation(path, f"must be >= 0, got {value}"))
 
-    _check_series(out, "pv.generation", spec.pv.generation, spec, reference)
-    if any(v < 0 for v in spec.pv.generation.values):
-        out.append(Violation("pv.generation", "negative generation"))
-    if spec.pv.emission_factor < 0:
-        out.append(Violation("pv.emission_factor", "negative emission factor"))
-
-    _check_series(out, "grid_intensity", spec.grid_intensity, spec, reference)
-    if any(v < 0 for v in spec.grid_intensity.values):
-        out.append(Violation("grid_intensity", "negative intensity"))
+    _check_series(out, "pv.generation", spec.pv.generation, spec, reference, "negative generation")
+    _check_series(out, "grid_intensity", spec.grid_intensity, spec, reference, "negative intensity")
 
     _validate_sharing(out, spec)
-
-    if spec.vat_rate < 0:
-        out.append(Violation("vat_rate", f"must be >= 0, got {spec.vat_rate}"))
 
     return ValidationReport(tuple(out))
 

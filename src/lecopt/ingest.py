@@ -1,9 +1,9 @@
 """CSV/JSON ingestion for community runs.
 
 All tabular inputs are CSV with an ISO-8601 timestamp column and
-dot-decimal numbers; gaps, duplicates, and non-numeric cells are hard
-errors, never interpolated. The community itself is described by one JSON
-config file whose relative paths resolve against the config's directory.
+dot-decimal numbers; gaps, duplicates, and non-numeric or non-finite
+cells are hard errors, never interpolated. The community itself is
+described by one JSON config file whose relative paths resolve against its directory.
 
 VAT is applied here: unless the config marks prices as tax-inclusive, raw
 buy prices are multiplied by (1 + vat_rate) before entering the domain.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -74,11 +75,13 @@ def _parse_timestamp(path, row_no: int, cell: str) -> datetime:
 
 
 def _parse_float(path, row_no: int, column: str, cell: str) -> float:
-    text = cell.strip()
     try:
-        return float(text)
+        value = float(cell.strip())
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise NonNumericCell(path, row_no, column, cell) from None
+        pass
+    raise NonNumericCell(path, row_no, column, cell)
 
 
 def _check_hourly(path, timestamps: Sequence[datetime]) -> None:

@@ -18,6 +18,8 @@ The problem is an LP plus complementarity pairs: nobody buys and sells in
 the same hour (buy, sell), and the battery never charges and discharges at
 once (ch, dis). The solver closes a pair by a shift where the LP allows it
 and branches on the rest.
+`MilpProblem` holds it as read-only arrays, the rows in compressed sparse row (CSR) form (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, §3.4) that the solver, verifier and export read.
 `export_lp_text` writes the equivalent MILP for external solvers: one
 binary per flow of a pair, a big-M cap per flow, and an exclusivity row
 per pair. Each big-M is the flow's upper bound, i.e. exactly the contracted
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +103,7 @@ class VariableIndex:
 
 @dataclass(frozen=True)
 class LinearRow:
-    """One sparse constraint row: sum(coef * col) `sense` rhs."""
+    """One constraint row as Python values: sum(coef * col) `sense` rhs."""
 
     name: str
     coeffs: tuple[tuple[int, float], ...]
@@ -109,26 +111,37 @@ class LinearRow:
     rhs: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpProblem:
-    """Immutable sparse LP with complementarity pairs: objective, rows, bounds, pairs.
+    """Immutable LP with complementarity pairs, as read-only arrays (`eq=False`: arrays have no `==`).
 
-    Each pair (a, b) of `complementary_pairs` is a buy/sell or
-    charge/discharge column pair of which at most one may be positive.
-    The pairs are the only discrete part of the problem: it has no binary
-    columns (see `export_lp_text` for the binaries an external MILP solver
-    needs).
+    Row i is sum(data[k] * x[indices[k]] for k in range(indptr[i], indptr[i + 1]))
+    `sense[i]` rhs[i] (CSR form), its columns rising and no coefficient zero.
+    Each row (a, b) of `complementary_pairs`, shape (K, 2), is a buy/sell or
+    charge/discharge column pair of which at most one may be positive: the
+    only discrete part of the problem, which has no binary columns (see
+    `export_lp_text` for the binaries an external MILP solver needs).
     """
 
     scenario_label: str
     index: VariableIndex
-    objective: tuple[float, ...]
+    objective: np.ndarray
     objective_constant: float
-    rows: tuple[LinearRow, ...]
-    lb: tuple[float, ...]
-    ub: tuple[float, ...]
-    complementary_pairs: tuple[tuple[int, int], ...]
+    row_names: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    complementary_pairs: np.ndarray
     allocation_mode: AllocationMode = AllocationMode.FIXED
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def num_cols(self) -> int:
@@ -136,11 +149,29 @@ class MilpProblem:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
+
+    def row_of_entry(self) -> np.ndarray:
+        """The row of each stored coefficient, parallel to `indices` and `data`."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
+    def _row_entries(self):
+        """Each row as (name, columns, coefficients, sense, rhs), in Python values."""
+        cols, vals, ptr = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        rows = zip(self.row_names, ptr, ptr[1:], self.sense.tolist(), self.rhs.tolist())
+        return ((name, cols[start:end], vals[start:end], sense, rhs) for name, start, end, sense, rhs in rows)
+
+    @property
+    def rows(self) -> tuple[LinearRow, ...]:
+        """The rows as `LinearRow`s, derived from the arrays on every call.
+
+        Only the benchmark's build probe reads it (and `binaries`), to count nonzeros; both go once it reads a count.
+        """
+        return tuple(LinearRow(name, tuple(zip(cols, vals)), sense, rhs) for name, cols, vals, sense, rhs in self._row_entries())
 
     @property
     def binaries(self) -> frozenset[int]:
-        """Binary columns: none, the pairs take their place."""
+        """Binary columns: none, the pairs take their place. Read only by the benchmark's build probe, like `rows`."""
         return frozenset()
 
     def col_name(self, j: int) -> str:
@@ -150,26 +181,29 @@ class MilpProblem:
 class _Builder:
     def __init__(self, index: VariableIndex):
         self.index = index
-        self.rows: list[LinearRow] = []
+        self.pids = [_sanitize(pid) for pid in index.participant_ids]
         self.lb = np.zeros(index.num_cols)
         self.ub = np.full(index.num_cols, INF)
         self.objective = np.zeros(index.num_cols)
         self.objective_constant = 0.0
+        self.blocks: list[tuple] = []  # (names, row lengths, indices, data, sense, rhs)
 
-    def add_row(self, name: str, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
-        items = tuple(sorted((c, float(v)) for c, v in coeffs.items() if v != 0.0))
-        for _, v in items:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coefficient in row {name}")
-        if not math.isfinite(rhs):
-            raise ValueError(f"non-finite rhs in row {name}")
-        self.rows.append(LinearRow(name, items, sense, float(rhs)))
+    def add_rows(self, names: list[str], cols, coefs, sense, rhs) -> None:
+        """Append a block of rows, one per name, from `cols` shaped (..., W), each row's columns ascending.
 
-
-def _column_pairs(*blocks: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[int, int], ...]:
-    """Column pairs (a, b) of equally shaped blocks, block after block in raveled order."""
-    stacked = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in blocks])
-    return tuple(map(tuple, stacked.tolist()))
+        `coefs` broadcasts to `cols`, `sense` and `rhs` to its leading shape. Zero
+        coefficients, which pad short rows, are dropped. Raises ValueError naming
+        the first row with a non-finite coefficient or rhs.
+        """
+        cols = np.asarray(cols)
+        rhs, sense = (np.broadcast_to(np.asarray(v, dtype), cols.shape[:-1]).ravel() for v, dtype in ((rhs, float), (sense, "<U2")))
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape).reshape(len(names), -1)
+        cols = cols.reshape(len(names), -1)
+        bad_coef = ~np.isfinite(coefs).all(axis=1)
+        for r in np.flatnonzero(bad_coef | ~np.isfinite(rhs))[:1].tolist():
+            raise ValueError(f"non-finite {'coefficient' if bad_coef[r] else 'rhs'} in row {names[r]}")
+        keep = coefs != 0.0
+        self.blocks.append((names, keep.sum(axis=1), cols[keep], coefs[keep], sense, rhs))
 
 
 def build(
@@ -213,17 +247,23 @@ def build(
         _set_environment_objective(b, spec)
 
     buy, sell, ch, dis = (index.block(k) for k in (CHI_BUY, CHI_SELL, SIGMA_CH, SIGMA_DIS))
-    pairs = _column_pairs((buy, sell), (ch, dis))
+    pairs = np.concatenate([np.column_stack([buy.ravel(), sell.ravel()]), np.column_stack([ch, dis])])
+    names, counts, indices, data, sense, rhs = (np.concatenate(part) for part in zip(*b.blocks))
 
     label = f"objective={objective.value} allocation={allocation.value} horizon={T}h participants={len(ids)}"
     return MilpProblem(
         scenario_label=label,
         index=index,
-        objective=tuple(b.objective),
+        objective=b.objective,
         objective_constant=b.objective_constant,
-        rows=tuple(b.rows),
-        lb=tuple(b.lb),
-        ub=tuple(b.ub),
+        row_names=tuple(names.tolist()),
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        indices=indices,
+        data=data,
+        sense=sense,
+        rhs=rhs,
+        lb=b.lb,
+        ub=b.ub,
         complementary_pairs=pairs,
         allocation_mode=allocation,
     )
@@ -249,72 +289,63 @@ def _declare_variables(b: _Builder, spec: CommunitySpec, allocation: AllocationM
 def _add_energy_balance(b: _Builder, spec: CommunitySpec, allocation: AllocationMode) -> None:
     # Fixed mode: beta*(pv + dis - ch) + buy = load + sell, with beta and pv data.
     # Optimized mode: alloc + buy = load + sell; alloc is tied to net generation
-    # by the sharing rows.
+    # by the sharing rows. One row per (t, p), hour-major.
     index = b.index
-    buy, sell = index.block(CHI_BUY).tolist(), index.block(CHI_SELL).tolist()
-    ch, dis = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist()
-    alloc = index.block(ALLOC).tolist() if allocation is AllocationMode.OPTIMIZED else None
-    for t in range(spec.horizon_hours):
-        pv = spec.pv.generation.values[t]
-        for k, p in enumerate(spec.participants):
-            load = p.load.values[t]
-            coeffs = {buy[t][k]: 1.0, sell[t][k]: -1.0}
-            if allocation is AllocationMode.FIXED:
-                beta = spec.sharing.coefficient(p.id, t)
-                coeffs[dis[t]] = beta
-                coeffs[ch[t]] = -beta
-                rhs = load - beta * pv
-            else:
-                coeffs[alloc[t][k]] = 1.0
-                rhs = load
-            b.add_row(f"balance_{t}_{_sanitize(p.id)}", coeffs, "=", rhs)
+    hours = range(spec.horizon_hours)
+    buy, sell = index.block(CHI_BUY), index.block(CHI_SELL)
+    load = np.column_stack([p.load.as_array() for p in spec.participants])
+    names = [f"balance_{t}_{pid}" for t in hours for pid in b.pids]
+    if allocation is AllocationMode.FIXED:
+        beta = np.array([[spec.sharing.coefficient(p.id, t) for p in spec.participants] for t in hours])
+        ch, dis = index.block(SIGMA_CH)[:, None], index.block(SIGMA_DIS)[:, None]
+        cols = np.stack(np.broadcast_arrays(buy, sell, ch, dis), axis=-1)
+        coefs = np.stack(np.broadcast_arrays(1.0, -1.0, -beta, beta), axis=-1)
+        b.add_rows(names, cols, coefs, "=", load - beta * spec.pv.generation.as_array()[:, None])
+    else:
+        b.add_rows(names, np.stack([buy, sell, index.block(ALLOC)], axis=-1), [1.0, -1.0, 1.0], "=", load)
 
 
 def _add_battery(b: _Builder, spec: CommunitySpec) -> None:
-    index = b.index
+    # socdyn_t: soc_t - soc_{t-1} - eta_ch*ch_t + dis_t/eta_dis = 0, with
+    # soc_initial in place of soc_{-1}; then socend: soc_{T-1} = soc_final.
     bess = spec.bess
     T = spec.horizon_hours
-    ch, dis, soc = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist(), index.block(SOC).tolist()
-    for t in range(T):
-        coeffs = {soc[t]: 1.0, ch[t]: -bess.eta_ch, dis[t]: 1.0 / bess.eta_dis}
-        rhs = 0.0
-        if t == 0:
-            rhs = bess.soc_initial
-        else:
-            coeffs[soc[t - 1]] = -1.0
-        b.add_row(f"socdyn_{t}", coeffs, "=", rhs)
-    b.add_row(f"socend", {soc[T - 1]: 1.0}, "=", bess.soc_final)
+    ch, dis, soc = (b.index.block(kind) for kind in (SIGMA_CH, SIGMA_DIS, SOC))
+    cols = np.vstack([np.column_stack([ch, dis, np.roll(soc, 1), soc]), np.full(4, soc[-1])])
+    coefs = np.tile([-bess.eta_ch, 1.0 / bess.eta_dis, -1.0, 1.0], (T + 1, 1))
+    coefs[0, 2] = coefs[T, :3] = 0.0  # socdyn_0 has no soc_{-1}; socend keeps only soc_{T-1}
+    rhs = np.zeros(T + 1)
+    rhs[0], rhs[T] = bess.soc_initial, bess.soc_final
+    b.add_rows([f"socdyn_{t}" for t in range(T)] + ["socend"], cols, coefs, "=", rhs)
 
 
 def _add_sharing(b: _Builder, spec: CommunitySpec) -> None:
     # Allocations partition the hourly net generation theta = pv + dis - ch.
     # Each share is capped by gross generation above and total charging below,
-    # so net-charging hours distribute the charge as consumption.
+    # so net-charging hours distribute the charge as consumption. Per hour:
+    # share_t, then sharelo_t_p and sharehi_t_p for each participant p, the
+    # two-term rows padded with zeros to the width of share_t.
     index = b.index
-    alloc = index.block(ALLOC).tolist()
-    ch, dis = index.block(SIGMA_CH).tolist(), index.block(SIGMA_DIS).tolist()
-    for t in range(spec.horizon_hours):
-        pv = spec.pv.generation.values[t]
-        coeffs = {g: 1.0 for g in alloc[t]}
-        coeffs[dis[t]] = -1.0
-        coeffs[ch[t]] = 1.0
-        b.add_row(f"share_{t}", coeffs, "=", pv)
-        for g, p in zip(alloc[t], spec.participants):
-            b.add_row(f"sharelo_{t}_{_sanitize(p.id)}", {g: 1.0, ch[t]: 1.0}, ">=", 0.0)
-            b.add_row(f"sharehi_{t}_{_sanitize(p.id)}", {g: 1.0, dis[t]: -1.0}, "<=", pv)
+    T, P = spec.horizon_hours, len(b.pids)
+    alloc, ch, dis = index.block(ALLOC), index.block(SIGMA_CH), index.block(SIGMA_DIS)
+    pv = spec.pv.generation.as_array()
+    cols, coefs = np.zeros((T, 1 + 2 * P, P + 2), dtype=int), np.zeros((T, 1 + 2 * P, P + 2))
+    cols[:, 0], coefs[:, 0] = np.column_stack([ch, dis, alloc]), [1.0, -1.0] + [1.0] * P
+    cols[:, 1::2, 0], cols[:, 2::2, 0] = ch[:, None], dis[:, None]
+    cols[:, 1::2, 1] = cols[:, 2::2, 1] = alloc
+    coefs[:, 1::2, :2], coefs[:, 2::2, :2] = [1.0, 1.0], [-1.0, 1.0]
+    rhs = np.zeros((T, 1 + 2 * P))
+    rhs[:, 0], rhs[:, 2::2] = pv, pv[:, None]
+    names = [name for t in range(T) for name in [f"share_{t}"] + [f"share{s}_{t}_{pid}" for pid in b.pids for s in ("lo", "hi")]]
+    b.add_rows(names, cols, coefs, ["="] + [">=", "<="] * P, rhs)
 
 
 def _add_compensation_cap(b: _Builder, spec: CommunitySpec) -> None:
     # Billing-period rule: compensated surplus value cannot exceed the value
-    # of imported consumption. Off by default.
-    index = b.index
-    buy, sell = index.block(CHI_BUY).T.tolist(), index.block(CHI_SELL).T.tolist()
-    for k, p in enumerate(spec.participants):
-        coeffs: dict[int, float] = {}
-        for t in range(spec.horizon_hours):
-            coeffs[sell[k][t]] = p.sell_price.values[t]
-            coeffs[buy[k][t]] = -p.buy_price.values[t]
-        b.add_row(f"compcap_{_sanitize(p.id)}", coeffs, "<=", 0.0)
+    # of imported consumption. Off by default. One row per participant.
+    cols = np.hstack([b.index.block(CHI_BUY).T, b.index.block(CHI_SELL).T])
+    coefs = np.array([np.concatenate([-p.buy_price.as_array(), p.sell_price.as_array()]) for p in spec.participants])
+    b.add_rows([f"compcap_{pid}" for pid in b.pids], cols, coefs, "<=", 0.0)
 
 
 def _set_price_objective(b: _Builder, spec: CommunitySpec) -> None:
@@ -378,7 +409,7 @@ def _term(coef: float, name: str, first: bool) -> str:
 
 
 def _terms(terms) -> str:
-    """`(name, coef)` terms as LP text; zero coefficients are dropped, as `_Builder.add_row` drops them."""
+    """`(name, coef)` terms as LP text; zero coefficients are dropped, as `_Builder.add_rows` drops them from the rows."""
     nonzero = [(name, coef) for name, coef in terms if coef != 0.0]
     return " ".join(_term(coef, name, k == 0) for k, (name, coef) in enumerate(nonzero))
 
@@ -401,9 +432,10 @@ def export_lp_text(problem: MilpProblem) -> str:
     objective constant is not representable in LP format and is recorded in
     a leading comment instead.
     """
-    names, ub = problem.index.names, problem.ub
+    names, ub = problem.index.names, problem.ub.tolist()
     grid_pairs = problem.index.horizon * len(problem.index.participant_ids)
-    grid, battery = problem.complementary_pairs[:grid_pairs], problem.complementary_pairs[grid_pairs:]
+    pairs = problem.complementary_pairs.tolist()
+    grid, battery = pairs[:grid_pairs], pairs[grid_pairs:]
 
     def delta(j: int) -> str:
         return "delta_" + names[j].split("_", 1)[1]
@@ -418,9 +450,10 @@ def export_lp_text(problem: MilpProblem) -> str:
     lines = [f"\\ scenario: {problem.scenario_label}"]
     lines.append(f"\\ objective constant: {_fmt(problem.objective_constant)}")
     lines.append("Minimize")
-    lines.append(" obj: " + (_terms(zip(names, problem.objective)) or "0 " + names[0]))
+    lines.append(" obj: " + (_terms(zip(names, problem.objective.tolist())) or "0 " + names[0]))
     lines.append("Subject To")
-    rows = [_row_text(r.name, [(names[c], v) for c, v in r.coeffs], r.sense, r.rhs) for r in problem.rows]
+    rows = [_row_text(name, [(names[c], v) for c, v in zip(cols, vals)], sense, rhs)
+            for name, cols, vals, sense, rhs in problem._row_entries()]
     lines += rows[:grid_pairs]
     for a, b in grid:
         lines += [exclusion("excl", a, b), cap(a), cap(b)]
@@ -428,15 +461,8 @@ def export_lp_text(problem: MilpProblem) -> str:
         lines += [rows[grid_pairs + t], cap(a), cap(b), exclusion("battexcl", a, b)]
     lines += rows[grid_pairs + len(battery):]
     lines.append("Bounds")
-    for j, name in enumerate(names):
-        lo, hi = problem.lb[j], ub[j]
-        if lo == hi:
-            lines.append(f" {name} = {_fmt(lo)}")
-        elif math.isinf(hi):
-            if lo != 0.0:
-                lines.append(f" {name} >= {_fmt(lo)}")
-        else:
-            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+    for name, lo, hi in zip(names, problem.lb.tolist(), ub):  # validation makes every bound finite
+        lines.append(f" {name} = {_fmt(lo)}" if lo == hi else f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
     lines.append("Binaries")
     lines += [f" {delta(pair[m])}" for group in (grid, battery) for m in (0, 1) for pair in group]
     lines.append("End")

@@ -10,8 +10,8 @@ overlap closes by shifting both members down; only the other pairs branch,
 by fixing one member of a violated pair to zero. Most windows of this
 problem family close at the root node, whose LP is the relaxation; there
 is no separate LP entry point.
-`verify_solution` re-checks every row, bound and pair from the sparse
-problem data.
+`verify_solution` re-checks every row, bound and pair from the problem's
+CSR arrays, independently of the tableau.
 
 Dense tableaus are deliberate: case-study problems stay in the hundreds of
 columns. The entering column is hypersparse (most pivots touch one or two
@@ -95,7 +95,7 @@ class ViolationReport:
 
 
 class _Dense:
-    """Row-major dense image of a MilpProblem's LP, shared across B&B nodes."""
+    """Row-major dense image of a MilpProblem's LP, shared across B&B nodes; all but `A` are the problem's arrays."""
 
     def __init__(self, problem: MilpProblem):
         m, n = problem.num_rows, problem.num_cols
@@ -107,16 +107,9 @@ class _Dense:
             )
         self.m, self.n = m, n
         self.A = np.zeros((m, n))
-        self.rhs = np.zeros(m)
-        self.senses: list[str] = []
-        for i, row in enumerate(problem.rows):
-            for col, coef in row.coeffs:
-                self.A[i, col] += coef
-            self.rhs[i] = row.rhs
-            self.senses.append(row.sense)
-        self.c = np.asarray(problem.objective, dtype=float)
-        self.lb = np.asarray(problem.lb, dtype=float)
-        self.ub = np.asarray(problem.ub, dtype=float)
+        self.A[problem.row_of_entry(), problem.indices] = problem.data
+        self.rhs, self.sense = problem.rhs, problem.sense
+        self.c, self.lb, self.ub = problem.objective, problem.lb, problem.ub
         self.constant = problem.objective_constant
 
 
@@ -144,57 +137,40 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
     """
     m, n = dense.m, dense.n
     # Extended columns: structural | one slack per row | artificials appended on demand.
+    # Slack s_i = rhs_i - A_i x is >= 0 for "<=", <= 0 for ">=" and 0 for "=".
     N = n + m
-    lb = np.concatenate([lb_n, np.zeros(m)])
-    ub = np.concatenate([ub_n, np.zeros(m)])
-    for i, sense in enumerate(dense.senses):
-        if sense == "<=":
-            lb[n + i], ub[n + i] = 0.0, math.inf
-        elif sense == ">=":
-            lb[n + i], ub[n + i] = -math.inf, 0.0
-        else:
-            lb[n + i], ub[n + i] = 0.0, 0.0
+    lb = np.concatenate([lb_n, np.where(dense.sense == ">=", -math.inf, 0.0)])
+    ub = np.concatenate([ub_n, np.where(dense.sense == "<=", math.inf, 0.0)])
     if np.any(lb > ub + 1e-12):
         return Status.INFEASIBLE, None, 0
 
-    # Nonbasic start: every column at a finite bound (free columns at 0).
-    x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    # Nonbasic start: every column at a finite bound. Each column has one:
+    # validation bounds the structural columns, the row sense each slack.
+    x = np.where(np.isfinite(lb), lb, ub)
     ub = np.maximum(ub, lb)  # guard equal-bound rounding
 
     A_ext = np.hstack([dense.A, np.eye(m)])
-    resid = dense.rhs - A_ext @ x  # required slack adjustment per row
-
-    basis = np.empty(m, dtype=int)
-    art_cols: list[int] = []
-    art_sign: list[float] = []
-    xB = np.zeros(m)
-    need_art = np.zeros(m, dtype=bool)
-    for i in range(m):
-        s = n + i
-        target = x[s] + resid[i]
-        if lb[s] - 1e-12 <= target <= ub[s] + 1e-12:
-            basis[i] = s
-            xB[i] = min(max(target, lb[s]), ub[s])
-        else:
-            # Clip the slack to its nearest bound; an artificial covers the rest.
-            clipped = min(max(target, lb[s]), ub[s])
-            x[s] = clipped
-            need_art[i] = True
-    for i in np.nonzero(need_art)[0]:
-        r = dense.rhs[i] - A_ext[i] @ x
-        art_cols.append(N + len(art_cols))
-        art_sign.append(1.0 if r >= 0 else -1.0)
-        basis[i] = art_cols[-1]
-        xB[i] = abs(r)
-    n_art = len(art_cols)
+    # Each row starts on its slack where the slack's bounds allow. Elsewhere
+    # the slack is clipped to its nearest bound and an artificial column,
+    # signed like the remaining residual, covers the rest.
+    target = x[n:] + (dense.rhs - A_ext @ x)
+    clipped = np.minimum(np.maximum(target, lb[n:]), ub[n:])
+    art_rows = np.flatnonzero(~((lb[n:] - 1e-12 <= target) & (target <= ub[n:] + 1e-12)))
+    n_art = art_rows.size
+    x[n + art_rows] = clipped[art_rows]
+    resid = np.array([dense.rhs[i] - A_ext[i] @ x for i in art_rows])
+    art_sign = np.where(resid >= 0, 1.0, -1.0)
+    basis = n + np.arange(m)
+    basis[art_rows] = N + np.arange(n_art)
+    xB = clipped
+    xB[art_rows] = np.abs(resid)
     if n_art:
         art_block = np.zeros((m, n_art))
-        for k, i in enumerate(np.nonzero(need_art)[0]):
-            art_block[i, k] = art_sign[k]
+        art_block[art_rows, np.arange(n_art)] = art_sign
         A_ext = np.hstack([A_ext, art_block])
         lb = np.concatenate([lb, np.zeros(n_art)])
         ub = np.concatenate([ub, np.full(n_art, math.inf)])
-        x = np.concatenate([x, xB[need_art]])
+        x = np.concatenate([x, xB[art_rows]])
     N_tot = N + n_art
 
     in_basis = np.zeros(N_tot, dtype=bool)
@@ -202,9 +178,7 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
     T = A_ext.copy()
     # The starting basis is diag(+-1): slack rows carry +1, artificial rows
     # carry their sign. Scale those rows so T = B^-1 A holds from the start.
-    for k, i in enumerate(np.nonzero(need_art)[0]):
-        if art_sign[k] < 0:
-            T[i] *= -1.0
+    T[art_rows[art_sign < 0]] *= -1.0
 
     iterations = 0
 
@@ -212,8 +186,8 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
         nonlocal iterations, T, xB
         d = c_phase - c_phase[basis] @ T
         # Bounds and frozen columns hold for the whole phase. A nonbasic
-        # column sits exactly on a bound unless both of its bounds are
-        # infinite, so a fixed column never prices and is dropped here once.
+        # column sits exactly on a bound, so a fixed column never prices and
+        # is dropped here once.
         movable = ~frozen & ~(np.isfinite(lb) & np.isfinite(ub) & (ub - lb < 1e-12))
         degenerate_streak = 0
         since_refresh = 0
@@ -267,9 +241,8 @@ def _simplex(dense: _Dense, lb_n: np.ndarray, ub_n: np.ndarray) -> tuple[Status,
                 leave = basis[r]
                 xB += incr * t_step
                 entering_val = x[j] + sign * t_step
+                # A row's ratio is finite only with a finite bound on the side it moves toward.
                 x[leave] = lb[leave] if incr[r] < 0 else ub[leave]
-                if not np.isfinite(x[leave]):
-                    x[leave] = xB[r]  # leaving at an infinite bound cannot happen; guard
                 Tr = T[r] / T[r, j]
                 # Rows with a zero in column j would subtract an exact zero
                 # (at most turning a -0.0 into +0.0, which no pivot test reads).
@@ -318,33 +291,31 @@ def verify_solution(problem: MilpProblem, x, feas_tol: float = FEAS_TOL) -> Viol
 
     A pair is violated when both of its members exceed `feas_tol`.
 
-    Works from the sparse problem data only; shares no state with the
+    Works from the problem's CSR arrays only; shares no state with the
     simplex. An empty report is required before any settlement is produced.
     """
     xs = np.asarray(x, dtype=float)
-    out: list[SolutionViolation] = []
     if xs.shape != (problem.num_cols,):
         return ViolationReport(
             (SolutionViolation("bound", "solution", f"length {xs.shape} != {problem.num_cols} columns"),)
         )
-    for row in problem.rows:
-        lhs = sum(coef * xs[col] for col, coef in row.coeffs)
-        resid = lhs - row.rhs
-        bad = (
-            (row.sense == "=" and abs(resid) > feas_tol)
-            or (row.sense == "<=" and resid > feas_tol)
-            or (row.sense == ">=" and resid < -feas_tol)
-        )
-        if bad:
-            out.append(SolutionViolation("row", row.name, f"lhs {lhs:.9g} {row.sense} rhs {row.rhs:.9g} violated by {resid:.3g}"))
-    below = xs < np.asarray(problem.lb) - feas_tol
-    above = xs > np.asarray(problem.ub) + feas_tol
+    # bincount adds each row's terms in column order, as a left-to-right sum would.
+    lhs = np.bincount(problem.row_of_entry(), problem.data * xs[problem.indices], minlength=problem.num_rows)
+    resid = lhs - problem.rhs
+    sense = problem.sense
+    bad = np.where(sense == "=", np.abs(resid) > feas_tol, np.where(sense == "<=", resid > feas_tol, resid < -feas_tol))
+    out = [
+        SolutionViolation("row", problem.row_names[i], f"lhs {lhs[i]:.9g} {sense[i]} rhs {problem.rhs[i]:.9g} violated by {resid[i]:.3g}")
+        for i in np.flatnonzero(bad).tolist()
+    ]
+    below = xs < problem.lb - feas_tol
+    above = xs > problem.ub + feas_tol
     for j in np.flatnonzero(below | above).tolist():
         if below[j]:
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} below lower bound {problem.lb[j]:.9g}"))
         if above[j]:
             out.append(SolutionViolation("bound", problem.col_name(j), f"{xs[j]:.9g} above upper bound {problem.ub[j]:.9g}"))
-    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
+    pairs = problem.complementary_pairs
     for a, b in pairs[np.all(xs[pairs] > feas_tol, axis=1)].tolist():
         out.append(SolutionViolation(
             "complementarity", f"{problem.col_name(a)}/{problem.col_name(b)}",
@@ -369,7 +340,7 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
     """
     cfg = config or SolveConfig()
     dense = _Dense(problem)
-    pairs = np.array(problem.complementary_pairs, dtype=int).reshape(-1, 2)
+    pairs = problem.complementary_pairs
     t_start = time.monotonic()
     total_iters = 0
     node_count = 0
@@ -387,11 +358,9 @@ def solve_milp(problem: MilpProblem, config: SolveConfig | None = None) -> MilpS
         bound, _, zeroed = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent_obj - 1e-9:
             break  # best-first: every open node is at least this bound
-        if cfg.node_limit is not None and node_count >= cfg.node_limit:
-            limit_hit = True
-            lower_bound = min(bound, incumbent_obj) if bound > -math.inf else lower_bound
-            break
-        if cfg.time_limit is not None and time.monotonic() - t_start > cfg.time_limit:
+        if (cfg.node_limit is not None and node_count >= cfg.node_limit) or (
+            cfg.time_limit is not None and time.monotonic() - t_start > cfg.time_limit
+        ):
             limit_hit = True
             lower_bound = min(bound, incumbent_obj) if bound > -math.inf else lower_bound
             break

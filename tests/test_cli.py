@@ -36,6 +36,18 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert "sum" in err
 
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_nan_price_cell_is_io_error(self, tmp_path, capsys, command):
+        config = write_fixture_files(tmp_path, hours=48)
+        prices = tmp_path / "prices.csv"
+        lines = prices.read_text().splitlines()
+        stamp, _, sell = lines[5].split(",")
+        lines[5] = f"{stamp},nan,{sell}"
+        prices.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"{prices}: row 6, column 'buy': cell 'nan' is not a number\n"
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "validate", "--config", str(tmp_path / "absent.json"))
         assert code == EXIT_IO

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -154,6 +155,31 @@ class TestValidation:
         bad_pv = dataclasses.replace(spec.pv, generation=HourlySeries.from_values([1.0], T0))
         report = validate_community(dataclasses.replace(spec, pv=bad_pv))
         assert any(v.path == "pv.generation" for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "path, spec",
+        [
+            ("bess.soc_max", tiny_spec(bess=flat_bess(soc_max=math.nan))),
+            ("bess.soc_initial", tiny_spec(bess=flat_bess(soc_initial=math.inf))),
+            ("bess.calendar_cost_per_hour", tiny_spec(bess=flat_bess(calendar_cost_per_hour=math.nan))),
+            ("bess.throughput_cost_per_kwh", tiny_spec(bess=flat_bess(throughput_cost_per_kwh=math.nan))),
+            ("bess.emission_factor_discharge", tiny_spec(bess=flat_bess(emission_factor_discharge=math.inf))),
+            ("pv.emission_factor", dataclasses.replace(tiny_spec(), pv=dataclasses.replace(tiny_spec().pv, emission_factor=math.nan))),
+            ("vat_rate", tiny_spec(vat_rate=math.nan)),
+            ("participants[A].load", tiny_spec(loads=((4.0, math.nan), (2.0, 2.0)))),
+            ("participants[B].buy_price", tiny_spec(buy=(0.3, math.inf))),
+            ("pv.generation", tiny_spec(pv=(math.nan, 0.0))),
+            ("grid_intensity", tiny_spec(intensity=(0.25, -math.inf))),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_non_finite_value_rejected(self, path, spec):
+        # A comparison with NaN is false, so only an explicit check rejects it.
+        assert any(v.path == path and "finite" in v.message for v in validate_community(spec).violations)
+
+    def test_negative_throughput_cost_rejected(self):
+        report = validate_community(tiny_spec(bess=flat_bess(throughput_cost_per_kwh=-0.01)))
+        assert [str(v) for v in report.violations] == ["bess.throughput_cost_per_kwh: must be >= 0, got -0.01"]
 
     def test_multiple_violations_collected(self):
         spec = tiny_spec(

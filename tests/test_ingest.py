@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,13 @@ class TestLoadSeries:
         text = GOOD_CSV.replace("1.5", '"1,5"')
         with pytest.raises(NonNumericCell, match="not a number"):
             load_series_csv(write(tmp_path / "a.csv", text), "power")
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = write(tmp_path / "a.csv", GOOD_CSV.replace("2.5", cell))
+        message = f"{path}: row 3, column 'power': cell '{cell}' is not a number"
+        with pytest.raises(NonNumericCell, match=re.escape(message)):
+            load_series_csv(path, "power")
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(GapInSeries):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lecopt.domain import slice_community
+from lecopt.fixtures import synthetic_community
 from lecopt.model import (
     ALLOC,
     CHI_BUY,
@@ -19,17 +22,19 @@ from lecopt.model import (
     export_lp_text,
     net_generation,
 )
-from lecopt.solver import solve_milp, verify_solution
+from lecopt.solver import _Dense, solve_milp, verify_solution
 
 from lp_parser import parse_lp
+from test_bench_probes import load_bench_module
 from util import col, flat_bess, tiny_spec, with_free_allocation
 
 
 def _row(problem, name):
-    for row in problem.rows:
-        if row.name == name:
-            return row
-    raise KeyError(name)
+    """Row `name` read from the CSR arrays: its {column: coefficient} map, sense and rhs."""
+    i = problem.row_names.index(name)
+    span = slice(problem.indptr[i], problem.indptr[i + 1])
+    coeffs = dict(zip(problem.indices[span].tolist(), problem.data[span].tolist()))
+    return SimpleNamespace(coeffs=coeffs, sense=str(problem.sense[i]), rhs=float(problem.rhs[i]))
 
 
 class TestDimensions:
@@ -114,6 +119,64 @@ class TestRows:
         row = _row(problem, "compcap_A")
         assert row.sense == "<="
         assert row.rhs == 0.0
+
+
+def _days(spec, count):
+    return [slice_community(spec, 24 * day, 24) for day in range(count)]
+
+
+CSR_SPECS = {
+    "tiny": tiny_spec(),
+    "tiny-capped": tiny_spec(compensation_cap_enabled=True),
+    **{f"fixture-day{d}": spec for d, spec in enumerate(_days(synthetic_community(48), 2))},
+    **{f"generated-day{d}": spec for d, spec in enumerate(_days(load_bench_module("gen").varied_community(7, 2), 2))},
+}
+
+
+def _csr_problem(name, allocation):
+    spec = CSR_SPECS[name]
+    return build(with_free_allocation(spec) if allocation is AllocationMode.OPTIMIZED else spec, Objective.PRICE)
+
+
+class TestCsrArrays:
+    """Invariants of the problem's CSR form, and the dense image and export that read it."""
+
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    @pytest.mark.parametrize("name", list(CSR_SPECS))
+    def test_invariants(self, name, allocation):
+        problem = _csr_problem(name, allocation)
+        indptr, indices, data = problem.indptr, problem.indices, problem.data
+        assert indptr[0] == 0 and indptr[-1] == len(indices) == len(data)
+        assert np.all(np.diff(indptr) >= 0)
+        same_row = np.diff(problem.row_of_entry()) == 0
+        assert np.all(np.diff(indices)[same_row] > 0)  # columns rise strictly within a row
+        assert np.all(data != 0.0) and np.all(np.isfinite(data)) and np.all(np.isfinite(problem.rhs))
+        arrays = (problem.objective, problem.lb, problem.ub, indptr, indices, data, problem.sense, problem.rhs,
+                  problem.complementary_pairs)
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.data[0] = 1.0
+        rows = problem.rows  # the view the benchmark's probe reads
+        assert [row.name for row in rows] == list(problem.row_names)
+        assert [len(row.coeffs) for row in rows] == np.diff(indptr).tolist()
+        assert [entry for row in rows for entry in row.coeffs] == list(zip(indices.tolist(), data.tolist()))
+        assert [(row.sense, row.rhs) for row in rows] == list(zip(problem.sense.tolist(), problem.rhs.tolist()))
+
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    @pytest.mark.parametrize("name", list(CSR_SPECS))
+    def test_dense_image_matches_parsed_export(self, name, allocation):
+        problem = _csr_problem(name, allocation)
+        parsed = parse_lp(export_lp_text(problem))
+        structural = [(row, coeffs) for row, coeffs, _, _ in parsed.rows if not set(coeffs) & parsed.binaries]
+        assert [row for row, _ in structural] == list(problem.row_names)
+        column = {col_name: j for j, col_name in enumerate(problem.index.names)}
+        expected = np.zeros((problem.num_rows, problem.num_cols))
+        for i, (_, coeffs) in enumerate(structural):
+            for col_name, coef in coeffs.items():
+                expected[i, column[col_name]] = coef
+        A = _Dense(problem).A
+        assert np.array_equal(A != 0.0, expected != 0.0)
+        np.testing.assert_allclose(A, expected, rtol=1e-11, atol=0.0)  # the export prints 12 significant digits
 
 
 def _capped_export(spec, allocation):

@@ -22,7 +22,7 @@ def dense_lp(A, rhs, senses, c, lb, ub):
     A = np.asarray(A, dtype=float)
     return SimpleNamespace(
         m=A.shape[0], n=A.shape[1], A=A, rhs=np.asarray(rhs, dtype=float),
-        senses=list(senses), c=np.asarray(c, dtype=float),
+        sense=np.asarray(senses), c=np.asarray(c, dtype=float),
         lb=np.asarray(lb, dtype=float), ub=np.asarray(ub, dtype=float), constant=0.0,
     )
 
@@ -130,7 +130,7 @@ class TestSolveLp:
 
         d = _Dense(problem)
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for i, sense in enumerate(d.senses):
+        for i, sense in enumerate(d.sense):
             if sense == "<=":
                 A_ub.append(d.A[i]); b_ub.append(d.rhs[i])
             elif sense == ">=":
@@ -391,6 +391,30 @@ class TestVerifySolution:
             "bound soc_1: 101 above upper bound 100",
             "complementarity chi_buy_1_B/chi_sell_1_B: both 2 and 0.5 exceed 1e-06",
         ]
+
+    @pytest.mark.parametrize("allocation", list(AllocationMode), ids=lambda a: a.value)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_flagged_rows_match_the_parsed_export(self, day, allocation):
+        # An independent evaluation of every row of the exported text (the
+        # delta rows aside), by column name, flags the same rows in the same order.
+        spec = dataclasses.replace(fixture_day(day), compensation_cap_enabled=True)
+        problem = build(with_free_allocation(spec) if allocation is AllocationMode.OPTIMIZED else spec, Objective.PRICE)
+        parsed = parse_lp(export_lp_text(problem))
+        rows = [row for row in parsed.rows if not set(row[1]) & parsed.binaries]
+        x_opt = np.asarray(solve_milp(problem).x)
+        rng = np.random.default_rng(day)
+        for k in range(16):
+            x = x_opt.copy()
+            cols = rng.integers(0, x.size, size=1 + k % 4)
+            # Steps of 1e-9 stay feasible, steps of 1e-3 and up break a row by far more than 1e-6.
+            x[cols] += rng.choice([-1.0, 1.0], cols.size) * rng.uniform(0.5, 2.0, cols.size) * 10.0 ** (k % 4 * 3 - 9)
+            value = dict(zip(problem.index.names, x.tolist()))
+            expected = []
+            for name, coeffs, sense, rhs in rows:
+                resid = sum(coef * value[column] for column, coef in coeffs.items()) - rhs
+                if {"=": abs(resid), "<=": resid, ">=": -resid}[sense] > 1e-6:
+                    expected.append(name)
+            assert [v.name for v in verify_solution(problem, x).violations if v.kind == "row"] == expected
 
     def test_wrong_length_rejected(self):
         problem = build(tiny_spec(), Objective.PRICE)
